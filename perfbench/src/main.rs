@@ -5,6 +5,9 @@
 //!     --workload yelp --seed 1 --seconds 20 --trace 0
 //! ```
 //!
+//! `BENCHMARK.json` lists `yelp` and `taxi`; `yelp_stream` runs by hand
+//! only (see `README.md`, "Steadiness").
+//!
 //! Closed loop, one caller: one parse call in flight at a time, the next
 //! issued when the previous returns, because ParPaRaw is a batch library.
 //! `--trace 0` measures the end-to-end metrics with tracing off; `--trace 1`
@@ -426,10 +429,11 @@ fn run_end_to_end(a: &Args) -> Result<Outcome, String> {
 
     // Interleave the configurations call by call so host drift hits all
     // alike. Each gets a fixed share of the measuring time: the next call
-    // goes to the one furthest below its share. The 1-worker call gets
-    // half, because its walls also give the tail.
+    // goes to the one furthest below its share. The 1-worker call's walls
+    // also give the tail, and the 2-worker walls spread the most, so those
+    // two get most of the time; the sequential call is the cheapest.
     let configs = [Config::W1, Config::W2, Config::Seq];
-    let share = [0.5, 0.25, 0.25];
+    let share = [0.4, 0.4, 0.2];
     let mut spent = [0.0f64; 3];
     let mut walls: [Vec<f64>; 3] = Default::default();
     let t0 = Instant::now();
@@ -825,8 +829,13 @@ mod tests {
         let spec =
             std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json"))
                 .expect("BENCHMARK.json beside the benchmark");
+        // Every listed workload exists; `yelp_stream` runs by hand only.
         let names: Vec<&str> = Workload::ALL.iter().map(|w| w.name()).collect();
-        assert_eq!(names_in(&spec, "workloads"), names);
+        let listed = names_in(&spec, "workloads");
+        assert!(
+            listed.iter().all(|l| names.contains(&l.as_str())),
+            "{listed:?}"
+        );
         for workload in Workload::ALL {
             for trace in [false, true] {
                 let a = Args {
