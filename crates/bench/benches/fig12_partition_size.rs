@@ -1,5 +1,5 @@
 //! Bench target for Figure 12: streamed parse at different partition
-//! sizes (wall time of the threaded executor; the simulated end-to-end
+//! sizes (wall time of the host streaming cursor; the simulated end-to-end
 //! series comes from the `fig12` binary).
 //!
 //! Plain `main()` with `std` timing — run with

@@ -181,52 +181,63 @@ pub struct CancelOverhead {
     pub dataset: Dataset,
     /// Input bytes parsed per repetition.
     pub bytes: usize,
-    /// Best-of-reps wall ms without a token.
+    /// Median wall ms without a token.
     pub baseline_ms: f64,
-    /// Best-of-reps wall ms with an armed, never-fired token.
+    /// Median wall ms with an armed, never-fired token.
     pub with_token_ms: f64,
-    /// `(with_token - baseline) / baseline * 100` (negative = noise).
+    /// The median of the per-pair `(with_token / baseline - 1) * 100`
+    /// (negative = noise).
     pub overhead_pct: f64,
 }
 
+/// Interleaved (baseline, token) pairs [`cancel_overhead`] times.
+const CANCEL_PAIRS: usize = 9;
+
 /// Measure [`CancelOverhead`] on `dataset` at `bytes`.
+///
+/// The runs alternate baseline, token, baseline, token, … so both arms of
+/// a pair see the same host speed; the median of the paired ratios then
+/// stays put where two separate best-of series drift apart.
 pub fn cancel_overhead(dataset: Dataset, bytes: usize, workers: usize) -> CancelOverhead {
     let data = dataset.generate(bytes);
     let schema = dataset.schema();
-    let opts = |token: Option<CancelToken>| {
+    let run_ms = |token: Option<CancelToken>| {
         let mut o = ParserOptions {
             grid: Grid::new(workers),
             schema: Some(schema.clone()),
             ..ParserOptions::default()
         };
         o.cancel = token;
-        o
+        bench_ms(1, || {
+            parse_csv(&data, o.clone())
+                .expect("dataset parses")
+                .stats
+                .num_records
+        })
     };
-    let reps = 5;
-    let baseline_ms = bench_ms(reps, || {
-        parse_csv(&data, opts(None))
-            .expect("dataset parses")
-            .stats
-            .num_records
-    });
+    run_ms(None); // warm-up
     let token = CancelToken::new();
-    let with_token_ms = bench_ms(reps, || {
-        parse_csv(&data, opts(Some(token.clone())))
-            .expect("dataset parses")
-            .stats
-            .num_records
-    });
+    let (mut baseline, mut with_token, mut overhead) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..CANCEL_PAIRS {
+        let b = run_ms(None);
+        let t = run_ms(Some(token.clone()));
+        overhead.push((t / b - 1.0) * 100.0);
+        baseline.push(b);
+        with_token.push(t);
+    }
     CancelOverhead {
         dataset,
         bytes,
-        baseline_ms,
-        with_token_ms,
-        overhead_pct: if baseline_ms > 0.0 {
-            (with_token_ms - baseline_ms) / baseline_ms * 100.0
-        } else {
-            0.0
-        },
+        baseline_ms: median(&mut baseline),
+        with_token_ms: median(&mut with_token),
+        overhead_pct: median(&mut overhead),
     }
+}
+
+/// The median of an odd-length sample.
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// Render the whole sweep (all datasets) as the `BENCH_pipeline.json`

@@ -117,14 +117,14 @@ impl Parser {
 
         // Header: split the first record off as column names before the
         // parallel machinery sees the data.
-        let header_names: Option<Vec<String>>;
-        let input: &[u8] = if o.header && !input.is_empty() {
-            let (names, rest) = split_header(&self.dfa, input);
-            header_names = Some(names);
-            rest
+        let header = if o.header && !input.is_empty() {
+            split_header(&self.dfa, input, true)
         } else {
-            header_names = None;
-            input
+            None
+        };
+        let (header_names, input) = match header {
+            Some((names, data_at)) => (Some(names), &input[data_at..]),
+            None => (None, input),
         };
 
         // Phases 1+2: context recovery and metadata.
@@ -483,10 +483,12 @@ fn first_diagnostic(sink: DiagSink, rejected: &Bitmap, num_rows: u64) -> RecordD
     })
 }
 
-/// Split the first record off as a header, returning the column names
-/// and the remaining input. Uses the same DFA emissions as the pipeline,
-/// so quoted header names with embedded delimiters work.
-fn split_header<'a>(dfa: &Dfa, input: &'a [u8]) -> (Vec<String>, &'a [u8]) {
+/// Walk the first record off as a header, returning the column names and
+/// the offset where data starts. The walk starts at the DFA's start state,
+/// so it is exact, quoted delimiters and newlines in names included. When
+/// no record delimiter is found, the whole input is the header if
+/// `is_last`, and `None` asks the streaming caller for more input.
+pub(crate) fn split_header(dfa: &Dfa, input: &[u8], is_last: bool) -> Option<(Vec<String>, usize)> {
     let mut names: Vec<String> = Vec::new();
     let mut cur: Option<Vec<u8>> = None;
     let mut state = dfa.start_state();
@@ -500,7 +502,7 @@ fn split_header<'a>(dfa: &Dfa, input: &'a [u8]) -> (Vec<String>, &'a [u8]) {
         if step.emit.is_record_delimiter() {
             let idx = names.len();
             names.push(finish(cur.take(), idx));
-            return (names, &input[i + 1..]);
+            return Some((names, i + 1));
         } else if step.emit.is_field_delimiter() {
             let idx = names.len();
             names.push(finish(cur.take(), idx));
@@ -508,9 +510,12 @@ fn split_header<'a>(dfa: &Dfa, input: &'a [u8]) -> (Vec<String>, &'a [u8]) {
             cur.get_or_insert_with(Vec::new).push(b);
         }
     }
+    if !is_last {
+        return None;
+    }
     let idx = names.len();
     names.push(finish(cur.take(), idx));
-    (names, &input[input.len()..])
+    Some((names, input.len()))
 }
 
 /// Parse RFC 4180 CSV with the default dialect.

@@ -1,33 +1,30 @@
-//! End-to-end streaming (paper §4.4, Fig. 7).
+//! End-to-end streaming (paper §4.4).
 //!
 //! Inputs that do not fit device memory (or arrive from the host) are
-//! split into partitions that are *transferred*, *parsed*, and *returned*
-//! in a double-buffered pipeline so the three stages of different
-//! partitions overlap. The incomplete record at the end of each partition
-//! is carried over and prepended to the next one.
+//! split into partitions. The incomplete record at the end of each
+//! partition is carried over and prepended to the next one.
 //!
-//! Two things happen here:
+//! One cursor, [`PartitionIter`], drives every streaming entry point:
+//! [`Parser::parse_stream`] and [`Parser::parse_stream_resumable`] drain
+//! it and concatenate the batches, [`Parser::partitions`] yields them one
+//! by one. The carry is always the unconsumed tail of the previous cut,
+//! so carry plus partition is one contiguous slice of the input and each
+//! batch parses in place, with no copy.
 //!
-//! 1. a **real threaded executor** runs the three stages on this host —
-//!    a transfer stage that copies raw partitions into owned buffers (the
-//!    H2D stand-in), the parser stage (with carry-over), and a collector
-//!    stage (the D2H stand-in) — connected by bounded channels of capacity
-//!    one, which is exactly the double-buffer discipline of Fig. 7;
-//! 2. every partition's **measured work** is recorded so the simulated
-//!    device can replay the full Fig. 7 dependency DAG over the PCIe link
-//!    model ([`StreamedOutput::streaming_plan`]).
+//! Every partition's **measured work** is recorded so the simulated
+//! device can replay the Fig. 7 double-buffered transfer/parse/return
+//! overlap over the PCIe link model ([`StreamedOutput::streaming_plan`];
+//! the schedule itself lives in `parparaw_device`).
 
 use crate::diag::RecordDiagnostic;
 use crate::error::ParseError;
 use crate::options::ErrorPolicy;
-use crate::pipeline::Parser;
+use crate::pipeline::{split_header, Parser};
 use crate::timings::ParseOutput;
 use parparaw_columnar::{Schema, Table};
 use parparaw_device::streaming::PartitionCost;
 use parparaw_device::{CostModel, PcieLink, StreamingPlan};
 use parparaw_parallel::{Grid, KernelExecutor, LaunchMode};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 /// The partition-size degradation floor: under arena budget pressure the
@@ -88,7 +85,7 @@ pub struct StreamedOutput {
     pub diagnostics: Vec<RecordDiagnostic>,
     /// Diagnostics dropped at the per-partition cap.
     pub dropped_diagnostics: u64,
-    /// End-to-end wall-clock time of the threaded executor.
+    /// End-to-end wall-clock time of the stream.
     pub wall: Duration,
 }
 
@@ -236,7 +233,7 @@ fn relaunch_partition(
 
 impl Parser {
     /// Parse `input` as a stream of `partition_size`-byte partitions with
-    /// carry-over, using a three-stage threaded pipeline.
+    /// carry-over.
     ///
     /// When no schema is configured, the first partition is parsed with
     /// type inference and its inferred schema is fixed for the rest of the
@@ -275,354 +272,326 @@ impl Parser {
         partition_size: usize,
         resume: Option<Checkpoint>,
     ) -> Result<StreamedOutput, Box<StreamInterrupted>> {
-        let initial_psize = partition_size.max(1);
         let t0 = Instant::now();
-
-        // One executor for the whole stream: its worker pool persists
-        // across partitions and its arena recycles the partition and work
-        // buffers, so steady-state streaming does near-zero allocation.
-        // Retry policy, fault injection, cancellation, deadline, and arena
-        // budget all carry over from the options.
-        let exec = self.options().build_executor();
-        let exec = &exec;
-
-        // The effective partition size, shared with the transfer stage:
-        // halved under arena budget pressure, never below the floor. A
-        // resumed run starts at the checkpoint's (possibly degraded) size.
-        let start_psize = match &resume {
-            Some(c) => c.partition_size.max(1),
-            None => initial_psize,
+        let mut cursor = PartitionIter::new(self, input, partition_size, resume);
+        let mut tables: Vec<Table> = Vec::new();
+        let mut completed = StreamedOutput {
+            table: Table::empty(),
+            partitions: Vec::new(),
+            rejected_records: 0,
+            diagnostics: Vec::new(),
+            dropped_diagnostics: 0,
+            wall: Duration::ZERO,
         };
-        let floor = initial_psize.min(PARTITION_FLOOR_BYTES);
-        let eff_psize = AtomicUsize::new(start_psize);
-        let eff_psize = &eff_psize;
-
-        let start_offset = match &resume {
-            Some(c) => (c.resume_offset as usize).min(input.len()),
-            None => 0,
-        };
-
-        let (tx_raw, rx_raw) = sync_channel::<(Vec<u8>, bool)>(1);
-        let (tx_out, rx_out) = sync_channel::<(Table, PartitionReport, u64)>(1);
-
-        let mut header_names_out: Option<Vec<String>> =
-            resume.as_ref().and_then(|c| c.header_names.clone());
-        let mut all_diags: Vec<RecordDiagnostic> = Vec::new();
-        let mut dropped_diags = 0u64;
-        let mut checkpoint = match &resume {
-            Some(c) => c.clone(),
-            None => Checkpoint {
-                resume_offset: 0,
-                rows_emitted: 0,
-                partitions_emitted: 0,
-                partition_size: start_psize,
-                header_done: !self.options().header,
-                header_names: None,
-                schema: None,
-            },
-        };
-
-        std::thread::scope(|s| {
-            // Stage 1 — "transfer": copy raw partitions into owned buffers
-            // (the host→device DMA stand-in). The capacity-1 channel plus
-            // the buffer being filled makes this a double buffer. The
-            // partition size is re-read each iteration so budget
-            // degradation applies to partitions not yet cut.
-            s.spawn(move || {
-                let mut pos = start_offset;
-                loop {
-                    let eff = eff_psize.load(Ordering::Relaxed).max(1);
-                    let end = (pos + eff).min(input.len());
-                    let mut buf = exec.arena().take_u8("stream/partition");
-                    buf.extend_from_slice(&input[pos..end]);
-                    pos = end;
-                    let is_last = pos >= input.len();
-                    if tx_raw.send((buf, is_last)).is_err() || is_last {
-                        return;
-                    }
-                }
-            });
-
-            // Stage 3 — "return": collect per-partition outputs (the
-            // device→host stand-in).
-            let collector = s.spawn(move || {
-                let mut tables: Vec<Table> = Vec::new();
-                let mut reports: Vec<PartitionReport> = Vec::new();
-                let mut rejected = 0u64;
-                while let Ok((table, report, rej)) = rx_out.recv() {
-                    tables.push(table);
-                    reports.push(report);
-                    rejected += rej;
-                }
-                (tables, reports, rejected)
-            });
-
-            // Stage 2 — parse with carry-over (this thread).
-            let parse_result = (|| -> Result<(), ParseError> {
-                let mut carry: Vec<u8> = Vec::new();
-                // A resumed run re-enters with the checkpoint's frozen
-                // schema; a fresh run freezes it from the first partition
-                // with rows.
-                let mut parser: Option<Parser> = checkpoint.schema.clone().map(|schema| {
-                    let mut opts = self.options().clone();
-                    opts.header = false;
-                    opts.schema = Some(schema);
-                    Parser::new(self.dfa().clone(), opts)
-                });
-                // Global positions for diagnostic remapping: rows emitted
-                // so far, and the input byte index that `work[0]` maps to
-                // (the carry is always the unprocessed tail, so the work
-                // buffer is contiguous in the original input). A resumed
-                // run seeds both from the checkpoint so its record indices
-                // and byte offsets stay stream-global.
-                let mut rows_so_far = checkpoint.rows_emitted;
-                let mut consumed = checkpoint.resume_offset;
-                // The stream's header is consumed once, up front; every
-                // partition then parses header-free.
-                let mut header_pending = !checkpoint.header_done;
-                let mut last_pressure = exec.arena().pressure_events();
-                let base = if self.options().header {
-                    let mut opts = self.options().clone();
-                    opts.header = false;
-                    Parser::new(self.dfa().clone(), opts)
-                } else {
-                    self.clone()
-                };
-                while let Ok((buf, is_last)) = rx_raw.recv() {
-                    let raw_len = buf.len() as u64;
-                    let carry_bytes = carry.len() as u64;
-                    let mut work = exec.arena().take_u8("stream/work");
-                    work.extend_from_slice(&carry);
-                    work.extend_from_slice(&buf);
-                    exec.arena().put_u8("stream/partition", buf);
-                    carry.clear();
-
-                    if header_pending {
-                        match strip_header(base.dfa(), &work, is_last) {
-                            HeaderSplit::Complete(names, rest_at) => {
-                                header_names_out = Some(names);
-                                work.drain(..rest_at);
-                                consumed += rest_at as u64;
-                                header_pending = false;
-                            }
-                            HeaderSplit::NeedMore => {
-                                std::mem::swap(&mut carry, &mut work);
-                                exec.arena().put_u8("stream/work", work);
-                                continue;
-                            }
-                        }
-                    }
-
-                    // Fix the schema after the first partition.
-                    let active: &Parser = match &parser {
-                        Some(p) => p,
-                        None => &base,
-                    };
-                    let tw = Instant::now();
-                    let mut relaunched = false;
-                    let (mut failed_retries, mut failed_injected, mut failed_timeouts) =
-                        (0u64, 0u64, 0u64);
-                    let (out, carry_len): (ParseOutput, usize) =
-                        match active.parse_with(exec, &work, !is_last) {
-                            Ok(r) => r,
-                            Err(e) if e.is_cancelled() => {
-                                // A fired CancelToken is a caller decision,
-                                // not a fault: interrupt immediately, no
-                                // relaunch recovery.
-                                return Err(e);
-                            }
-                            Err(ParseError::Launch(_)) => {
-                                // The failed run left its launch records
-                                // (including the exhausted attempts) in the
-                                // shared executor's log; drain them here so
-                                // they don't pollute the next partition's
-                                // timings, and keep their retry counts for
-                                // this partition's report.
-                                for r in exec.drain_log() {
-                                    failed_retries += u64::from(r.attempts.saturating_sub(1));
-                                    failed_injected += u64::from(r.injected_faults);
-                                    failed_timeouts += u64::from(r.timed_out_attempts);
-                                }
-                                relaunched = true;
-                                relaunch_partition(active, &work, !is_last)?
-                            }
-                            Err(e) => return Err(e),
-                        };
-                    let parse_wall = tw.elapsed();
-                    if parser.is_none()
-                        && out.stats.num_records > 0
-                        && active.options().schema.is_none()
-                    {
-                        let mut opts = base.options().clone();
-                        opts.schema = Some(fixed_schema(out.table.schema()));
-                        parser = Some(Parser::new(self.dfa().clone(), opts));
-                    }
-
-                    // Remap this partition's diagnostics into stream-global
-                    // coordinates before the local indices go stale.
-                    for mut d in out.diagnostics {
-                        d.record += rows_so_far;
-                        if let Some(b) = &mut d.byte_offset {
-                            *b += consumed;
-                        }
-                        all_diags.push(d);
-                    }
-                    dropped_diags += out.stats.dropped_diagnostics;
-                    rows_so_far += out.stats.num_records;
-                    consumed += (work.len() - carry_len) as u64;
-
-                    carry.extend_from_slice(&work[work.len() - carry_len..]);
-                    exec.arena().put_u8("stream/work", work);
-
-                    // Arena budget pressure since the last partition means
-                    // the pool refused to hold this partition's buffers:
-                    // halve the effective partition size for partitions not
-                    // yet cut instead of allocating past the cap. At the
-                    // floor the budget is advisory under the permissive
-                    // policy and fatal under Strict.
-                    let pressure_now = exec.arena().pressure_events();
-                    let mut budget_degraded = false;
-                    if pressure_now > last_pressure {
-                        last_pressure = pressure_now;
-                        let cur = eff_psize.load(Ordering::Relaxed);
-                        if cur > floor {
-                            eff_psize.store((cur / 2).max(floor), Ordering::Relaxed);
-                            budget_degraded = true;
-                        } else if matches!(base.options().error_policy, ErrorPolicy::Strict) {
-                            return Err(ParseError::MemoryBudgetExceeded {
-                                budget_bytes: base.options().memory_budget.unwrap_or(0),
-                                partition_size: cur,
-                            });
-                        }
-                    }
-
-                    let report = PartitionReport {
-                        input_bytes: raw_len,
-                        carry_bytes,
-                        output_bytes: out.stats.output_bytes,
-                        parse_wall,
-                        parse_seconds_simulated: out.simulated.total_seconds,
-                        records: out.stats.num_records,
-                        retries: out.timings.retries + failed_retries,
-                        degraded_launches: out.timings.degraded_launches,
-                        injected_faults: out.timings.injected_faults + failed_injected,
-                        relaunched,
-                        timeouts: out.timings.timeouts + failed_timeouts,
-                        budget_degraded,
-                        partition_size: eff_psize.load(Ordering::Relaxed),
-                    };
-                    let rejected = out.stats.rejected_records;
-                    if tx_out.send((out.table, report, rejected)).is_err() {
-                        break;
-                    }
-
-                    // Advance the checkpoint only once the schema is fixed
-                    // (explicit, resumed, or frozen above): resuming before
-                    // that replays from the stream start so the resumed run
-                    // infers the same schema an uninterrupted run would.
-                    if base.options().schema.is_some() || parser.is_some() {
-                        checkpoint.resume_offset = consumed;
-                        checkpoint.rows_emitted = rows_so_far;
-                        checkpoint.partitions_emitted += 1;
-                        checkpoint.partition_size = eff_psize.load(Ordering::Relaxed);
-                        checkpoint.header_done = true;
-                        if checkpoint.header_names.is_none() {
-                            checkpoint.header_names = header_names_out.clone();
-                        }
-                        if checkpoint.schema.is_none() {
-                            if let Some(p) = &parser {
-                                checkpoint.schema = p.options().schema.clone();
-                            }
-                        }
-                    }
-                }
-                drop(tx_out);
-                Ok(())
-            })();
-            // Make sure the raw channel is drained/closed before joining.
-            drop(rx_raw);
-
-            // Invariant: the collector only receives and accumulates —
-            // no user code runs there, so a panic means a bug here.
-            let (tables, reports, rejected) = collector.join().expect("collector panicked");
-
-            // Assemble whatever was emitted — the full stream on success,
-            // the completed prefix on interruption.
-            // Zero-row partitions (fully carried over) may predate the
-            // schema freeze; they contribute nothing, so drop them.
-            let refs: Vec<&Table> = tables.iter().filter(|t| t.num_rows() > 0).collect();
-            let mut table = if refs.is_empty() {
-                tables.into_iter().next().unwrap_or_else(Table::empty)
-            } else {
-                Table::concat(&refs).expect("partitions share the fixed schema")
-            };
-            if let (Some(names), None) = (&header_names_out, &self.options().schema) {
-                table = table.renamed(names);
+        let error = loop {
+            if cursor.done {
+                break None;
             }
-            let completed = StreamedOutput {
-                table,
-                partitions: reports,
-                rejected_records: rejected,
-                diagnostics: std::mem::take(&mut all_diags),
-                dropped_diagnostics: dropped_diags,
-                wall: t0.elapsed(),
-            };
-            match parse_result {
-                Ok(()) => Ok(completed),
-                Err(error) => Err(Box::new(StreamInterrupted {
-                    error,
-                    completed,
-                    checkpoint: checkpoint.clone(),
-                })),
+            match cursor.next_batch() {
+                Ok(batch) => {
+                    tables.push(batch.table);
+                    completed.partitions.push(batch.report);
+                    completed.rejected_records += batch.rejected;
+                    completed.diagnostics.extend(batch.diagnostics);
+                    completed.dropped_diagnostics += batch.dropped_diagnostics;
+                }
+                Err(e) => break Some(e),
             }
-        })
-    }
-}
+        };
 
-/// Freeze an output table's schema for subsequent partitions (the
-/// inferred per-column types become the declared types).
-fn fixed_schema(s: &Schema) -> Schema {
-    s.clone()
-}
-
-enum HeaderSplit {
-    /// Header complete: names plus the byte offset where data starts.
-    Complete(Vec<String>, usize),
-    /// No record delimiter yet; buffer more input.
-    NeedMore,
-}
-
-/// Walk the first record of the stream. The stream starts at the DFA's
-/// start state, so a plain sequential walk is exact (quoted newlines in
-/// header names included).
-fn strip_header(dfa: &parparaw_dfa::Dfa, work: &[u8], is_last: bool) -> HeaderSplit {
-    let mut names: Vec<String> = Vec::new();
-    let mut cur: Option<Vec<u8>> = None;
-    let mut state = dfa.start_state();
-    let finish = |b: Option<Vec<u8>>, idx: usize| match b {
-        Some(bytes) if !bytes.is_empty() => String::from_utf8_lossy(&bytes).into_owned(),
-        _ => format!("c{idx}"),
-    };
-    for (i, &b) in work.iter().enumerate() {
-        let step = dfa.step(state, b);
-        state = step.next;
-        if step.emit.is_record_delimiter() {
-            let idx = names.len();
-            names.push(finish(cur.take(), idx));
-            return HeaderSplit::Complete(names, i + 1);
-        } else if step.emit.is_field_delimiter() {
-            let idx = names.len();
-            names.push(finish(cur.take(), idx));
-        } else if step.emit.is_data() {
-            cur.get_or_insert_with(Vec::new).push(b);
+        // Assemble whatever was emitted — the full stream on success, the
+        // completed prefix on interruption. Zero-row partitions (fully
+        // carried over) may predate the schema freeze; they contribute
+        // nothing, so drop them.
+        let refs: Vec<&Table> = tables.iter().filter(|t| t.num_rows() > 0).collect();
+        completed.table = if refs.is_empty() {
+            tables.into_iter().next().unwrap_or_else(Table::empty)
+        } else {
+            Table::concat(&refs).expect("partitions share the fixed schema")
+        };
+        completed.wall = t0.elapsed();
+        match error {
+            None => Ok(completed),
+            Some(error) => Err(Box::new(StreamInterrupted {
+                error,
+                completed,
+                checkpoint: cursor.checkpoint,
+            })),
         }
     }
-    if is_last {
-        let idx = names.len();
-        names.push(finish(cur.take(), idx));
-        HeaderSplit::Complete(names, work.len())
-    } else {
-        HeaderSplit::NeedMore
+
+    /// Iterate the input partition by partition (paper §4.4's pipeline as
+    /// a consumer-driven iterator).
+    pub fn partitions<'a>(&self, input: &'a [u8], partition_size: usize) -> PartitionIter<'a> {
+        PartitionIter::new(self, input, partition_size, None)
+    }
+}
+
+/// A pull-based streaming parse: yields one [`Table`] per partition,
+/// carrying incomplete records across `next()` calls. This is the
+/// integration-friendly shape for pipelines that process batches as they
+/// arrive instead of materialising the whole output
+/// ([`Parser::parse_stream`] does the latter).
+pub struct PartitionIter<'a> {
+    /// The stream's parser: header handling off (the cursor consumes the
+    /// header once), schema fixed once known.
+    parser: Parser,
+    /// One executor for the whole stream: its worker pool and buffer arena
+    /// persist across partitions, so steady-state streaming does near-zero
+    /// allocation.
+    exec: KernelExecutor,
+    input: &'a [u8],
+    /// The first input byte not consumed by an emitted batch.
+    pos: usize,
+    /// The end of the last cut; `input[pos..cut]` is the carry.
+    cut: usize,
+    /// The effective partition size, halved under arena budget pressure.
+    psize: usize,
+    /// The lowest `psize` budget pressure may degrade to.
+    floor: usize,
+    /// Sizes of the next three cuts. The transfer stage of the Fig. 7
+    /// double buffer has two partitions in flight while one parses, so a
+    /// size change decided after a partition applies from the third
+    /// partition after it.
+    in_flight: [usize; 3],
+    /// The arena's cumulative pressure count after the last partition.
+    last_pressure: u64,
+    /// Rows emitted so far, for stream-global diagnostic indices.
+    rows: u64,
+    header_pending: bool,
+    header_names: Option<Vec<String>>,
+    /// Whether the caller configured the schema (a frozen one is instead
+    /// recorded in the checkpoint).
+    explicit_schema: bool,
+    checkpoint: Checkpoint,
+    done: bool,
+}
+
+/// One parsed partition, in stream-global coordinates.
+struct Batch {
+    table: Table,
+    report: PartitionReport,
+    diagnostics: Vec<RecordDiagnostic>,
+    dropped_diagnostics: u64,
+    rejected: u64,
+}
+
+impl<'a> PartitionIter<'a> {
+    fn new(
+        parser: &Parser,
+        input: &'a [u8],
+        partition_size: usize,
+        resume: Option<Checkpoint>,
+    ) -> Self {
+        let initial_psize = partition_size.max(1);
+        // A resumed run re-enters at the checkpoint's (possibly degraded)
+        // size, offset, rows, header and frozen schema.
+        let checkpoint = resume.unwrap_or(Checkpoint {
+            resume_offset: 0,
+            rows_emitted: 0,
+            partitions_emitted: 0,
+            partition_size: initial_psize,
+            header_done: !parser.options().header,
+            header_names: None,
+            schema: None,
+        });
+        let mut opts = parser.options().clone();
+        opts.header = false;
+        let explicit_schema = opts.schema.is_some();
+        if let Some(schema) = &checkpoint.schema {
+            opts.schema = Some(schema.clone());
+        }
+        let exec = opts.build_executor();
+        let last_pressure = exec.arena().pressure_events();
+        let pos = (checkpoint.resume_offset as usize).min(input.len());
+        let psize = checkpoint.partition_size.max(1);
+        PartitionIter {
+            parser: Parser::new(parser.dfa().clone(), opts),
+            exec,
+            input,
+            pos,
+            cut: pos,
+            psize,
+            floor: initial_psize.min(PARTITION_FLOOR_BYTES),
+            in_flight: [psize; 3],
+            last_pressure,
+            rows: checkpoint.rows_emitted,
+            header_pending: !checkpoint.header_done,
+            header_names: checkpoint.header_names.clone(),
+            explicit_schema,
+            checkpoint,
+            done: false,
+        }
+    }
+
+    /// The column names captured from the stream header (populated after
+    /// the first yielded batch when the parser was configured with
+    /// `header = true`).
+    pub fn header_names(&self) -> Option<&[String]> {
+        self.header_names.as_deref()
+    }
+
+    /// Cut the next partition and parse the carry plus it in place. The
+    /// stream is `done` once the last partition has been cut.
+    fn next_batch(&mut self) -> Result<Batch, ParseError> {
+        let input = self.input;
+        loop {
+            let carry_bytes = (self.cut - self.pos) as u64;
+            let size = self.in_flight[0];
+            self.in_flight = [self.in_flight[1], self.in_flight[2], self.psize];
+            let cut_from = self.cut;
+            self.cut = self.cut.saturating_add(size).min(input.len());
+            self.done = self.cut == input.len();
+            let has_more = !self.done;
+
+            // The stream's header is consumed once, up front; every
+            // partition then parses header-free.
+            if self.header_pending {
+                match split_header(self.parser.dfa(), &input[self.pos..self.cut], self.done) {
+                    Some((names, data_at)) => {
+                        self.header_names = Some(names);
+                        self.pos += data_at;
+                        self.header_pending = false;
+                    }
+                    None => continue,
+                }
+            }
+
+            let work = &input[self.pos..self.cut];
+            let tw = Instant::now();
+            let mut relaunched = false;
+            let (mut failed_retries, mut failed_injected, mut failed_timeouts) = (0u64, 0, 0);
+            let (out, carry_len) = match self.parser.parse_with(&self.exec, work, has_more) {
+                Ok(r) => r,
+                // A fired CancelToken is a caller decision, not a fault:
+                // interrupt immediately, no relaunch recovery.
+                Err(ParseError::Launch(e)) if !e.is_cancelled() => {
+                    // The failed run left its launch records (including
+                    // the exhausted attempts) in the executor's log; keep
+                    // their counts for this partition's report.
+                    for r in self.exec.drain_log() {
+                        failed_retries += u64::from(r.attempts.saturating_sub(1));
+                        failed_injected += u64::from(r.injected_faults);
+                        failed_timeouts += u64::from(r.timed_out_attempts);
+                    }
+                    relaunched = true;
+                    relaunch_partition(&self.parser, work, has_more)?
+                }
+                Err(e) => return Err(e),
+            };
+            let parse_wall = tw.elapsed();
+
+            // Freeze the inferred schema on the first partition with rows,
+            // so later partitions stay type-compatible.
+            if self.parser.options().schema.is_none() && out.stats.num_records > 0 {
+                let mut opts = self.parser.options().clone();
+                opts.schema = Some(out.table.schema().clone());
+                self.parser = Parser::new(self.parser.dfa().clone(), opts);
+            }
+
+            // Arena budget pressure since the last partition means the
+            // pool refused to hold this partition's buffers: halve the
+            // effective partition size instead of allocating past the cap.
+            // At the floor the budget is advisory under the permissive
+            // policy and fatal under Strict.
+            let pressure = self.exec.arena().pressure_events();
+            let mut budget_degraded = false;
+            if pressure > self.last_pressure {
+                self.last_pressure = pressure;
+                let o = self.parser.options();
+                if self.psize > self.floor {
+                    self.psize = (self.psize / 2).max(self.floor);
+                    self.in_flight[2] = self.psize;
+                    budget_degraded = true;
+                } else if matches!(o.error_policy, ErrorPolicy::Strict) {
+                    return Err(ParseError::MemoryBudgetExceeded {
+                        budget_bytes: o.memory_budget.unwrap_or(0),
+                        partition_size: self.psize,
+                    });
+                }
+            }
+
+            // Remap this partition's diagnostics into stream-global
+            // coordinates before the local indices go stale.
+            let (rows, offset) = (self.rows, self.pos as u64);
+            let diagnostics = out
+                .diagnostics
+                .into_iter()
+                .map(|mut d| {
+                    d.record += rows;
+                    if let Some(b) = &mut d.byte_offset {
+                        *b += offset;
+                    }
+                    d
+                })
+                .collect();
+            self.rows += out.stats.num_records;
+            self.pos = self.cut - carry_len;
+
+            // Advance the checkpoint only once the schema is fixed
+            // (explicit, resumed, or frozen above): resuming before that
+            // replays from the stream start so the resumed run infers the
+            // same schema an uninterrupted run would.
+            if let Some(schema) = &self.parser.options().schema {
+                let c = &mut self.checkpoint;
+                c.resume_offset = self.pos as u64;
+                c.rows_emitted = self.rows;
+                c.partitions_emitted += 1;
+                c.partition_size = self.psize;
+                c.header_done = true;
+                if c.header_names.is_none() {
+                    c.header_names = self.header_names.clone();
+                }
+                if c.schema.is_none() && !self.explicit_schema {
+                    c.schema = Some(schema.clone());
+                }
+            }
+
+            let table = match (&self.header_names, self.explicit_schema) {
+                (Some(names), false) => out.table.renamed(names),
+                _ => out.table,
+            };
+            return Ok(Batch {
+                table,
+                report: PartitionReport {
+                    input_bytes: (self.cut - cut_from) as u64,
+                    carry_bytes,
+                    output_bytes: out.stats.output_bytes,
+                    parse_wall,
+                    parse_seconds_simulated: out.simulated.total_seconds,
+                    records: out.stats.num_records,
+                    retries: out.timings.retries + failed_retries,
+                    degraded_launches: out.timings.degraded_launches,
+                    injected_faults: out.timings.injected_faults + failed_injected,
+                    relaunched,
+                    timeouts: out.timings.timeouts + failed_timeouts,
+                    budget_degraded,
+                    partition_size: self.psize,
+                },
+                diagnostics,
+                dropped_diagnostics: out.stats.dropped_diagnostics,
+                rejected: out.stats.rejected_records,
+            });
+        }
+    }
+}
+
+impl Iterator for PartitionIter<'_> {
+    type Item = Result<Table, ParseError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while !self.done {
+            match self.next_batch() {
+                // Fully carried over; pull more input.
+                Ok(batch) if batch.table.num_rows() == 0 && !self.done => continue,
+                Ok(batch) => return Some(Ok(batch.table)),
+                Err(e) => {
+                    self.done = true;
+                    return Some(Err(e));
+                }
+            }
+        }
+        None
     }
 }
 
@@ -886,134 +855,6 @@ mod tests {
             transfer + parse + ret
         };
         assert!(report.total_seconds <= sum_stages + 1e-9);
-    }
-}
-
-/// A pull-based streaming parse: yields one [`Table`] per partition,
-/// carrying incomplete records across `next()` calls. This is the
-/// integration-friendly shape for pipelines that process batches as they
-/// arrive instead of materialising the whole output
-/// ([`Parser::parse_stream`] does the latter).
-pub struct PartitionIter<'a> {
-    parser: Parser,
-    exec: KernelExecutor,
-    input: &'a [u8],
-    partition_size: usize,
-    pos: usize,
-    carry: Vec<u8>,
-    schema_frozen: bool,
-    header_pending: bool,
-    header_names: Option<Vec<String>>,
-    done: bool,
-}
-
-impl<'a> PartitionIter<'a> {
-    /// The column names captured from the stream header (populated after
-    /// the first yielded batch when the parser was configured with
-    /// `header = true`).
-    pub fn header_names(&self) -> Option<&[String]> {
-        self.header_names.as_deref()
-    }
-}
-
-impl Parser {
-    /// Iterate the input partition by partition (paper §4.4's pipeline as
-    /// a consumer-driven iterator).
-    pub fn partitions<'a>(&self, input: &'a [u8], partition_size: usize) -> PartitionIter<'a> {
-        let header_pending = self.options().header;
-        let mut opts = self.options().clone();
-        opts.header = false;
-        let exec = opts.build_executor();
-        PartitionIter {
-            parser: Parser::new(self.dfa().clone(), opts),
-            exec,
-            input,
-            partition_size: partition_size.max(1),
-            pos: 0,
-            carry: Vec::new(),
-            schema_frozen: false,
-            header_pending,
-            header_names: None,
-            done: false,
-        }
-    }
-}
-
-impl Iterator for PartitionIter<'_> {
-    type Item = Result<Table, ParseError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while !self.done {
-            let end = (self.pos + self.partition_size).min(self.input.len());
-            let is_last = end == self.input.len();
-            let mut work = std::mem::take(&mut self.carry);
-            work.extend_from_slice(&self.input[self.pos..end]);
-            self.pos = end;
-            self.done = is_last;
-
-            if self.header_pending {
-                match strip_header(self.parser.dfa(), &work, is_last) {
-                    HeaderSplit::Complete(names, rest_at) => {
-                        self.header_names = Some(names);
-                        work.drain(..rest_at);
-                        self.header_pending = false;
-                    }
-                    HeaderSplit::NeedMore => {
-                        self.carry = work;
-                        continue;
-                    }
-                }
-            }
-
-            let parsed = self
-                .parser
-                .parse_with(&self.exec, &work, !is_last)
-                .or_else(|e| match e {
-                    ParseError::Launch(_) => {
-                        // Discard the failed run's launch records and retry
-                        // once on a fresh spawn-per-launch executor.
-                        let _ = self.exec.drain_log();
-                        relaunch_partition(&self.parser, &work, !is_last)
-                    }
-                    other => Err(other),
-                });
-            let result = match parsed {
-                Ok((out, carry_len)) => {
-                    self.carry = work[work.len() - carry_len..].to_vec();
-                    Ok(out.table)
-                }
-                Err(e) => Err(e),
-            };
-
-            match result {
-                Ok(table) => {
-                    // Freeze the inferred schema on the first batch with
-                    // rows, so later batches stay type-compatible.
-                    if !self.schema_frozen
-                        && table.num_rows() > 0
-                        && self.parser.options().schema.is_none()
-                    {
-                        let mut opts = self.parser.options().clone();
-                        opts.schema = Some(table.schema().clone());
-                        self.parser = Parser::new(self.parser.dfa().clone(), opts);
-                        self.schema_frozen = true;
-                    }
-                    let table = match &self.header_names {
-                        Some(names) => table.renamed(names),
-                        None => table,
-                    };
-                    if table.num_rows() == 0 && !self.done {
-                        continue; // fully carried over; pull more input
-                    }
-                    return Some(Ok(table));
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-        None
     }
 }
 

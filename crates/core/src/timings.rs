@@ -15,7 +15,8 @@ pub struct PhaseTimings {
     pub scan: Duration,
     /// Symbol tagging (both compaction passes).
     pub tag: Duration,
-    /// Radix partitioning by column.
+    /// Partitioning by column (field-run scatter by default, or the
+    /// paper's radix sort; see [`crate::options::PartitionKernel`]).
     pub partition: Duration,
     /// CSS indexing, inference, and type conversion.
     pub convert: Duration,
