@@ -120,7 +120,8 @@ fn main() {
     }
 
     // Pass-1 fast lane: step-wise reference vs per-byte table + collapse,
-    // with and without the byte-pair table (the `pass1_pair_table` knob).
+    // with and without the byte-pair table (`PairTable`, which the parser
+    // itself does not build).
     let yelp = parparaw_workloads::yelp::generate(4 << 20, 0xE11A5);
     let pt = PairTable::build(&dfa);
     let cs = 31usize;

@@ -2,14 +2,16 @@
 //!
 //! Left: the record-tagged mode moves 4-byte record tags through tagging,
 //! partitioning and conversion; the inline-terminated and vector-delimited
-//! modes avoid that traffic and are "noticeably" faster. Right: a skewed
-//! input with one giant record must not degrade — ParPaRaw's parallelism
-//! is per symbol, not per record, and giant fields take the device-level
-//! collaboration path.
+//! modes avoid that traffic and are "noticeably" faster. That per-symbol
+//! tag traffic exists only on the paper's radix-sort partition kernel (the
+//! default run scatter moves whole fields and carries no per-symbol tags),
+//! so the comparison runs on it. Right: a skewed input with one giant
+//! record must not degrade — ParPaRaw's parallelism is per symbol, not per
+//! record, and giant fields take the device-level collaboration path.
 
 use crate::datasets::Dataset;
 use crate::report;
-use parparaw_core::{parse_csv, ParserOptions, TaggingMode};
+use parparaw_core::{parse_csv, ParserOptions, PartitionKernel, TaggingMode};
 use parparaw_parallel::Grid;
 
 /// One (dataset, mode) measurement.
@@ -42,6 +44,7 @@ pub fn run_modes(bytes: usize, workers: usize) -> Vec<ModeRow> {
                 grid: Grid::new(workers),
                 schema: Some(dataset.schema()),
                 tagging: mode,
+                partition_kernel: PartitionKernel::RadixSort,
                 ..ParserOptions::default()
             };
             let out = parse_csv(&data, opts).expect("dataset parses in every mode");

@@ -12,6 +12,11 @@
 //!   belongs to row `k`;
 //! * vector-delimited — identical, reading the auxiliary flag vector
 //!   instead of the CSS bytes.
+//!
+//! Those per-byte scans serve the radix-sort partition kernel, the only
+//! one that materialises record tags and flags. The default run-scatter
+//! kernel hands convert each column's field runs, and every mode builds
+//! its index from them with [`index_from_runs`].
 
 use crate::tagging::FieldRun;
 use parparaw_parallel::grid::SlotWriter;

@@ -82,9 +82,10 @@ impl FaultInjection {
 /// (paper §4.1, Figure 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TaggingMode {
-    /// Every symbol carries a four-byte record tag; the CSS index is built
-    /// by run-length-encoding the tags. Fully robust: tolerates a varying
-    /// number of fields per record.
+    /// Only data symbols are emitted; each field's row travels with its
+    /// field run (per symbol, as a four-byte record tag, on the radix-sort
+    /// kernel). Fully robust: tolerates a varying number of fields per
+    /// record.
     #[default]
     RecordTagged,
     /// Delimiters are replaced by a terminator symbol inside the CSS (like
@@ -127,8 +128,9 @@ pub enum PartitionKernel {
     #[default]
     RunScatter,
     /// The paper's original stable LSD radix sort over per-symbol column
-    /// tags — `passes × n × (key + payload)` bytes of sorted traffic.
-    /// Kept for equivalence tests and ablations.
+    /// tags, expanded from the field runs inside the partition launch —
+    /// `passes × n × (key + payload)` bytes of sorted traffic. Kept as
+    /// the equivalence-test oracle and as the Figure 11 kernel.
     RadixSort,
 }
 
@@ -200,11 +202,6 @@ pub struct ParserOptions {
     /// moves whole fields in one pass; `RadixSort` restores the paper's
     /// per-symbol sort.
     pub partition_kernel: PartitionKernel,
-    /// Step pass 1's collapsed inner loop two bytes at a time through a
-    /// precomposed 64 Ki-entry byte-pair table (512 KiB, built once per
-    /// parser). Halves the table loads but grows the working set past L1;
-    /// off by default — the ablation harness measures both sides.
-    pub pass1_pair_table: bool,
     /// What to do with malformed records (§4.3).
     pub error_policy: ErrorPolicy,
     /// Abort the parse with [`crate::ParseError::TooManyRejects`] once
@@ -251,7 +248,6 @@ impl Default for ParserOptions {
             device: DeviceConfig::titan_x_pascal(),
             scan_algorithm: ScanAlgorithm::default(),
             partition_kernel: PartitionKernel::default(),
-            pass1_pair_table: false,
             error_policy: ErrorPolicy::default(),
             max_rejects: None,
             retry: RetryPolicy::default(),
@@ -293,12 +289,6 @@ impl ParserOptions {
     /// Builder-style partition-kernel override.
     pub fn partition_kernel(mut self, kernel: PartitionKernel) -> Self {
         self.partition_kernel = kernel;
-        self
-    }
-
-    /// Builder-style byte-pair-table override.
-    pub fn pass1_pair_table(mut self, enabled: bool) -> Self {
-        self.pass1_pair_table = enabled;
         self
     }
 

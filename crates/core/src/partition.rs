@@ -6,20 +6,22 @@
 //!   determine every symbol's destination: a per-column histogram over
 //!   run lengths plus an exclusive prefix scan yields the CSS offsets,
 //!   then whole fields move with one `copy_from_slice` each. One O(n)
-//!   pass of contiguous memcpy; the per-symbol payloads (record tags,
-//!   delimiter flags) are materialised per-run only in the modes that
-//!   need them, preserving the Figure 11 mode-traffic ordering.
-//! * **radix sort** — the paper's original formulation: a stable LSD
-//!   radix sort on the column tags, `passes × n × (key + payload)` bytes
-//!   of sorted traffic. Kept as [`crate::options::PartitionKernel`]
-//!   fallback for equivalence tests and ablations.
+//!   pass of contiguous memcpy that moves only CSS bytes and the column-
+//!   grouped runs; convert builds each column's index from those runs.
+//! * **radix sort** — the paper's original formulation. It expands the
+//!   runs into the paper's per-symbol arrays inside its own launch (column
+//!   keys, plus record tags or delimiter flags by mode), then runs a
+//!   stable LSD radix sort on the keys: `passes × n × (key + payload)`
+//!   bytes of sorted traffic. Kept as [`crate::options::PartitionKernel`]
+//!   oracle for equivalence tests, and as the kernel whose mode-dependent
+//!   traffic Figure 11 ranks.
 //!
 //! Stability of the run scatter comes from the same *(column-major,
 //! worker-minor)* scan ordering the radix scatter uses: worker `w`'s runs
 //! of column `c` land directly after worker `w-1`'s runs of the same
 //! column, so fields keep their input order within each column.
 
-use crate::options::PartitionKernel;
+use crate::options::{PartitionKernel, TaggingMode};
 use crate::tagging::{FieldRun, Tagged, RUN_BYTES};
 use parparaw_parallel::grid::SlotWriter;
 use parparaw_parallel::scan::{exclusive_scan_seq, AddOp};
@@ -42,11 +44,11 @@ pub struct Partitioned {
     /// Symbols grouped by column (CSS of column `c` =
     /// `symbols[col_starts[c]..col_starts[c+1]]`).
     pub symbols: Vec<u8>,
-    /// Record tag per symbol (record-tagged mode only, parallel to
-    /// `symbols`).
+    /// Record tag per symbol, parallel to `symbols` (radix kernel in
+    /// record-tagged mode only; empty otherwise).
     pub rec_tags: Vec<u32>,
-    /// Delimiter flags (vector-delimited mode only, parallel to
-    /// `symbols`).
+    /// Delimiter flags, parallel to `symbols` (radix kernel in
+    /// vector-delimited mode only; `None` otherwise).
     pub delim_flags: Option<Vec<bool>>,
     /// Start offset of each column's CSS; length `num_columns + 1`.
     pub col_starts: Vec<u64>,
@@ -60,11 +62,11 @@ pub struct Partitioned {
 /// `partition` launch, using the default run-scatter kernel.
 ///
 /// The consumed tag buffers go back to the executor's arena (so the next
-/// pipeline run's `tag` launch reuses them) and the output symbol/tag
-/// arrays come from it (labels `partition/symbols`, `partition/rec-tags`,
-/// `partition/runs`). The pipeline puts those outputs back once the
-/// convert phase has consumed the CSSs, closing the reuse cycle across
-/// streaming runs.
+/// pipeline run's `tag` launch reuses them) and the output arrays come
+/// from it (labels `partition/symbols`, `partition/runs`; the radix kernel
+/// also takes `partition/keys` and `partition/rec-tags`). The pipeline
+/// puts those outputs back once the convert phase has consumed the CSSs,
+/// closing the reuse cycle across streaming runs.
 pub fn partition_by_column(
     exec: &KernelExecutor,
     tagged: Tagged,
@@ -98,8 +100,6 @@ fn partition_run_scatter(
     let n = tagged.symbols.len();
     let num_columns = num_columns.max(1);
     let num_runs = tagged.runs.len();
-    let want_rec_tags = !tagged.rec_tags.is_empty();
-    let want_flags = tagged.delim_flags.is_some();
 
     // `launch_once` because the scatter consumes the tagged buffers;
     // injected faults (which fire before the job body runs) still retry.
@@ -153,31 +153,15 @@ fn partition_run_scatter(
         debug_assert_eq!(run_running as usize, num_runs);
 
         // (3) Stable scatter: each worker walks its contiguous run range
-        // in order, moving whole fields with one memcpy each and
-        // materialising the per-symbol payloads only where the mode
-        // needs them.
+        // in order, moving whole fields with one memcpy each.
         let mut symbols = arena.take_u8("partition/symbols");
         symbols.resize(n, 0);
-        let mut rec_tags = arena.take_u32("partition/rec-tags");
-        rec_tags.resize(if want_rec_tags { n } else { 0 }, 0);
-        let mut flags_out = vec![false; if want_flags { n } else { 0 }];
-        let empty_run = FieldRun {
-            col: 0,
-            row: 0,
-            start: 0,
-            len: 0,
-            closed: false,
-        };
         let mut out_runs = arena.take_vec::<FieldRun>("partition/runs");
-        out_runs.clear();
-        out_runs.resize(num_runs, empty_run);
+        out_runs.resize(num_runs, FieldRun::default());
         {
             let sym_w = SlotWriter::new(&mut symbols);
-            let rt_w = SlotWriter::new(&mut rec_tags);
-            let fl_w = SlotWriter::new(&mut flags_out);
             let run_w = SlotWriter::new(&mut out_runs);
             let in_syms = &tagged.symbols[..];
-            let in_flags = tagged.delim_flags.as_deref();
             let col_starts = &col_starts[..];
             grid.run_partitioned(num_runs, |w, range| {
                 let mut sym_cur = sym_cursors[w].clone();
@@ -191,12 +175,6 @@ fn partition_run_scatter(
                     sym_cur[c] += r.len;
                     unsafe {
                         sym_w.write_slice(dst, &in_syms[src..src + len]);
-                        if want_rec_tags {
-                            rt_w.write_fill(dst, len, r.row);
-                        }
-                        if let Some(f) = in_flags {
-                            fl_w.write_slice(dst, &f[src..src + len]);
-                        }
                         run_w.write(
                             run_cur[c] as usize,
                             FieldRun {
@@ -212,29 +190,23 @@ fn partition_run_scatter(
 
         // Return the consumed tag buffers to the arena.
         arena.put_u8("tag/symbols", tagged.symbols);
-        arena.put_u32("tag/col-tags", tagged.col_tags);
-        arena.put_u32("tag/rec-tags", tagged.rec_tags);
         arena.put_vec("tag/runs", tagged.runs);
 
         // Work counters — everything the kernel actually touches,
-        // including the (previously uncounted) histogram and prefix-scan
-        // work. Per symbol: the CSS byte both ways, plus the record tag
-        // (tagged mode) or delimiter flag (vector mode) — the mode
-        // traffic Figure 11 ranks. Per run: the run metadata through the
+        // including the histogram and prefix-scan work. Per symbol: the
+        // CSS byte both ways. Per run: the run metadata through the
         // histogram and scatter passes. The scans are serial.
-        let per_symbol: u64 = 1 + if want_rec_tags { 4 } else { 0 } + u64::from(want_flags);
         let scan_cells = (num_workers * num_columns) as u64 * 2 + (num_columns + 1) as u64 * 2;
         counters.kernel_launches = 2; // histogram + scatter
-        counters.bytes_read = n as u64 * per_symbol + 2 * num_runs as u64 * RUN_BYTES;
-        counters.bytes_written =
-            n as u64 * per_symbol + num_runs as u64 * RUN_BYTES + scan_cells * 8;
+        counters.bytes_read = n as u64 + 2 * num_runs as u64 * RUN_BYTES;
+        counters.bytes_written = n as u64 + num_runs as u64 * RUN_BYTES + scan_cells * 8;
         counters.parallel_ops = 2 * num_runs as u64 + n as u64;
         counters.serial_ops = scan_cells;
 
         Partitioned {
             symbols,
-            rec_tags,
-            delim_flags: want_flags.then_some(flags_out),
+            rec_tags: Vec::new(),
+            delim_flags: None,
             col_starts,
             runs: Some(ColumnRuns {
                 runs: out_runs,
@@ -244,13 +216,25 @@ fn partition_run_scatter(
     })
 }
 
-/// The paper's original stable LSD radix sort on the column tags.
+/// The paper's original stable LSD radix sort on per-symbol column tags.
+///
+/// The tag phase emits field runs only, so the launch first expands them
+/// into the paper's per-symbol arrays (§3.3, §4.1): every symbol's column
+/// key, plus its record tag (record-tagged mode) or a delimiter flag on
+/// the last symbol of each closed run (vector-delimited mode).
 fn partition_radix_sort(
     exec: &KernelExecutor,
     tagged: Tagged,
     num_columns: usize,
 ) -> Result<Partitioned, LaunchError> {
-    let n = tagged.symbols.len();
+    let Tagged {
+        symbols: in_syms,
+        runs,
+        mode,
+        ..
+    } = tagged;
+    let n = in_syms.len();
+    let num_runs = runs.len() as u64;
     let num_columns = num_columns.max(1);
     let max_key = (num_columns - 1) as u32;
     let digit_bits = 8u32;
@@ -259,96 +243,98 @@ fn partition_radix_sort(
     // `launch_once` because the sort consumes the tagged buffers; injected
     // faults (which fire before the job body runs) still retry.
     exec.launch_once("partition", n, |grid, counters| {
+        let arena = exec.arena();
+        // The runs tile the symbol array in order, so appending each run's
+        // column once per symbol yields the per-symbol keys.
+        let mut keys = arena.take_u32("partition/keys");
+        for r in &runs {
+            keys.resize(keys.len() + r.len as usize, r.col);
+        }
+        debug_assert_eq!(keys.len(), n, "runs must cover every symbol");
+
         // The histogram over column tags gives the CSS offsets (reusing the
         // sort's histogram, as the paper notes).
-        let hist = histogram::histogram(grid, &tagged.col_tags, num_columns);
+        let hist = histogram::histogram(grid, &keys, num_columns);
         let mut col_starts = exclusive_scan_seq(&hist, &AddOp);
         col_starts.push(n as u64);
 
-        let arena = exec.arena();
-        arena.put_vec("tag/runs", tagged.runs);
-        let mode_bytes: u64;
-        let mut keys = tagged.col_tags;
-        let (symbols, rec_tags, delim_flags) =
-            match (&tagged.delim_flags, !tagged.rec_tags.is_empty()) {
-                (Some(_), _) => {
-                    // Vector-delimited: payload = (symbol, flag).
-                    // Invariant: this match arm only fires when
-                    // `delim_flags` is `Some`.
-                    let flags = tagged.delim_flags.unwrap();
-                    let mut values: Vec<(u8, bool)> = tagged
-                        .symbols
-                        .iter()
-                        .copied()
-                        .zip(flags.iter().copied())
-                        .collect();
-                    radix::sort_pairs_by_key_in(
-                        grid,
-                        arena,
-                        &mut keys,
-                        &mut values,
-                        max_key,
-                        digit_bits,
-                    );
-                    mode_bytes = 4 + 2;
-                    let mut symbols = arena.take_u8("partition/symbols");
-                    symbols.extend(values.iter().map(|v| v.0));
-                    let flags_out: Vec<bool> = values.iter().map(|v| v.1).collect();
-                    arena.put_u8("tag/symbols", tagged.symbols);
-                    arena.put_u32("tag/rec-tags", tagged.rec_tags);
-                    (symbols, Vec::new(), Some(flags_out))
+        // Bytes of per-symbol payload beyond the symbol itself.
+        let aux_bytes: u64;
+        let (symbols, rec_tags, delim_flags) = match mode {
+            TaggingMode::RecordTagged => {
+                // Payload = (symbol, record tag).
+                let mut values: Vec<(u8, u32)> = Vec::with_capacity(n);
+                for r in &runs {
+                    let span = r.start as usize..(r.start + r.len) as usize;
+                    values.extend(in_syms[span].iter().map(|&b| (b, r.row)));
                 }
-                (None, true) => {
-                    // Record-tagged: payload = (symbol, record tag).
-                    let mut values: Vec<(u8, u32)> = tagged
-                        .symbols
-                        .iter()
-                        .copied()
-                        .zip(tagged.rec_tags.iter().copied())
-                        .collect();
-                    radix::sort_pairs_by_key_in(
-                        grid,
-                        arena,
-                        &mut keys,
-                        &mut values,
-                        max_key,
-                        digit_bits,
-                    );
-                    mode_bytes = 4 + 5;
-                    let mut symbols = arena.take_u8("partition/symbols");
-                    symbols.extend(values.iter().map(|v| v.0));
-                    let mut recs = arena.take_u32("partition/rec-tags");
-                    recs.extend(values.iter().map(|v| v.1));
-                    arena.put_u8("tag/symbols", tagged.symbols);
-                    arena.put_u32("tag/rec-tags", tagged.rec_tags);
-                    (symbols, recs, None)
+                radix::sort_pairs_by_key_in(
+                    grid,
+                    arena,
+                    &mut keys,
+                    &mut values,
+                    max_key,
+                    digit_bits,
+                );
+                aux_bytes = 4;
+                let mut symbols = arena.take_u8("partition/symbols");
+                symbols.extend(values.iter().map(|v| v.0));
+                let mut recs = arena.take_u32("partition/rec-tags");
+                recs.extend(values.iter().map(|v| v.1));
+                arena.put_u8("tag/symbols", in_syms);
+                (symbols, recs, None)
+            }
+            TaggingMode::VectorDelimited => {
+                // Payload = (symbol, flag); a closed run ends on its
+                // delimiter.
+                let mut values: Vec<(u8, bool)> = in_syms.iter().map(|&b| (b, false)).collect();
+                for r in runs.iter().filter(|r| r.closed) {
+                    values[(r.start + r.len - 1) as usize].1 = true;
                 }
-                (None, false) => {
-                    // Inline-terminated: payload = symbol only.
-                    let mut values = tagged.symbols;
-                    radix::sort_pairs_by_key_in(
-                        grid,
-                        arena,
-                        &mut keys,
-                        &mut values,
-                        max_key,
-                        digit_bits,
-                    );
-                    mode_bytes = 4 + 1;
-                    arena.put_u32("tag/rec-tags", tagged.rec_tags);
-                    (values, Vec::new(), None)
-                }
-            };
-        arena.put_u32("tag/col-tags", keys);
+                radix::sort_pairs_by_key_in(
+                    grid,
+                    arena,
+                    &mut keys,
+                    &mut values,
+                    max_key,
+                    digit_bits,
+                );
+                aux_bytes = 1;
+                let mut symbols = arena.take_u8("partition/symbols");
+                symbols.extend(values.iter().map(|v| v.0));
+                let flags: Vec<bool> = values.iter().map(|v| v.1).collect();
+                arena.put_u8("tag/symbols", in_syms);
+                (symbols, Vec::new(), Some(flags))
+            }
+            TaggingMode::InlineTerminated { .. } => {
+                // Payload = symbol only.
+                let mut values = in_syms;
+                radix::sort_pairs_by_key_in(
+                    grid,
+                    arena,
+                    &mut keys,
+                    &mut values,
+                    max_key,
+                    digit_bits,
+                );
+                aux_bytes = 0;
+                (values, Vec::new(), None)
+            }
+        };
+        arena.put_u32("partition/keys", keys);
+        arena.put_vec("tag/runs", runs);
 
-        // Each pass reads and writes (key + payload) for every item, plus
-        // the column-tag histogram and the (serial) offset scan — work
-        // that previously went uncounted.
-        counters.kernel_launches = 3 * passes + 1;
-        counters.bytes_read = passes as u64 * n as u64 * mode_bytes + n as u64 * 4;
+        // The expansion reads the runs and writes every symbol's key and
+        // payload; each sort pass then reads and writes (key + symbol +
+        // payload) for every item, plus the column-tag histogram and the
+        // (serial) offset scan.
+        let n = n as u64;
+        let mode_bytes = 4 + 1 + aux_bytes;
+        counters.kernel_launches = 3 * passes + 2;
+        counters.bytes_read = num_runs * RUN_BYTES + passes as u64 * n * mode_bytes + n * 4;
         counters.bytes_written =
-            passes as u64 * n as u64 * mode_bytes + (num_columns + 1) as u64 * 8;
-        counters.parallel_ops = passes as u64 * n as u64 * 2 + n as u64;
+            n * (4 + aux_bytes) + passes as u64 * n * mode_bytes + (num_columns + 1) as u64 * 8;
+        counters.parallel_ops = num_runs + passes as u64 * n * 2 + n;
         counters.serial_ops = (num_columns + 1) as u64;
 
         Partitioned {
@@ -400,6 +386,7 @@ impl Partitioned {
 mod tests {
     use super::*;
     use crate::context::determine_contexts_with;
+    use crate::css::{index_from_runs, index_inline, index_record_tagged, index_vector};
     use crate::meta::identify_columns_and_records;
     use crate::options::{ScanAlgorithm, TaggingMode};
     use crate::tagging::{tag_symbols, TagConfig};
@@ -424,18 +411,49 @@ mod tests {
         (exec, t)
     }
 
+    /// Per column, the index convert builds from the scattered runs must
+    /// equal the one the paper's per-byte scans build from the radix
+    /// kernel's record tags, terminators or flags.
+    fn assert_same_index(scatter: &Partitioned, radix: &Partitioned, mode: TaggingMode) {
+        let grid = Grid::new(2);
+        for c in 0..radix.num_columns() {
+            let per_byte = match mode {
+                TaggingMode::RecordTagged => index_record_tagged(&grid, radix.css_rec_tags(c)),
+                TaggingMode::InlineTerminated { terminator } => {
+                    index_inline(&grid, radix.css(c), terminator)
+                }
+                TaggingMode::VectorDelimited => index_vector(&grid, radix.css_flags(c).unwrap()),
+            };
+            let from_runs = index_from_runs(scatter.col_runs(c).unwrap());
+            assert_eq!(from_runs, per_byte, "{} column {c}", mode.name());
+        }
+    }
+
     #[test]
     fn figure5_record_tagged_partitioning() {
         let input = b"1941,199.99,\"Bookcase\"\n1938,19.99,\"Frame\n\"\"Ribba\"\", black\"\n";
         let (exec, t) = tag(input, TaggingMode::RecordTagged, 3);
+        let radix =
+            partition_by_column_with(&exec, t.clone(), 3, PartitionKernel::RadixSort).unwrap();
         let p = partition_by_column(&exec, t, 3).unwrap();
         // Paper Fig. 5: the three columns' CSSs.
-        assert_eq!(p.css(0), b"19411938");
-        assert_eq!(p.css(1), b"199.9919.99");
-        assert_eq!(p.css(2), b"BookcaseFrame\n\"Ribba\", black");
-        // Record tags are stable within a column.
-        assert_eq!(p.css_rec_tags(0), &[0, 0, 0, 0, 1, 1, 1, 1]);
-        assert_eq!(p.num_columns(), 3);
+        for q in [&p, &radix] {
+            assert_eq!(q.css(0), b"19411938");
+            assert_eq!(q.css(1), b"199.9919.99");
+            assert_eq!(q.css(2), b"BookcaseFrame\n\"Ribba\", black");
+            assert_eq!(q.num_columns(), 3);
+        }
+        // Record tags are stable within a column: one per symbol from the
+        // paper's kernel, one per field run from the default one.
+        assert_eq!(radix.css_rec_tags(0), &[0, 0, 0, 0, 1, 1, 1, 1]);
+        let rows: Vec<(u32, u64)> = p
+            .col_runs(0)
+            .unwrap()
+            .iter()
+            .map(|r| (r.row, r.len))
+            .collect();
+        assert_eq!(rows, vec![(0, 4), (1, 4)]);
+        assert!(p.rec_tags.is_empty());
     }
 
     #[test]
@@ -452,9 +470,12 @@ mod tests {
     fn figure6_vector_partitioning() {
         let input = b"0,\"Apples\"\n1,\n2,\"Pears\"\n";
         let (exec, t) = tag(input, TaggingMode::VectorDelimited, 2);
+        let radix =
+            partition_by_column_with(&exec, t.clone(), 2, PartitionKernel::RadixSort).unwrap();
         let p = partition_by_column(&exec, t, 2).unwrap();
         assert_eq!(p.css(1), b"Apples\n\nPears\n");
-        let flags = p.css_flags(1).unwrap();
+        assert_eq!(radix.css(1), p.css(1));
+        let flags = radix.css_flags(1).unwrap();
         let delim_positions: Vec<usize> = flags
             .iter()
             .enumerate()
@@ -462,6 +483,16 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(delim_positions, vec![6, 7, 13]);
+        // The default kernel's closed runs end on the same delimiters.
+        let closed_ends: Vec<u64> = p
+            .col_runs(1)
+            .unwrap()
+            .iter()
+            .filter(|r| r.closed)
+            .map(|r| r.start + r.len - 1)
+            .collect();
+        assert_eq!(closed_ends, vec![6, 7, 13]);
+        assert!(p.delim_flags.is_none());
     }
 
     #[test]
@@ -483,7 +514,7 @@ mod tests {
         assert_eq!(p.css(42), b"4242");
         assert_eq!(p.symbols, radix.symbols);
         assert_eq!(p.col_starts, radix.col_starts);
-        assert_eq!(p.rec_tags, radix.rec_tags);
+        assert_same_index(&p, &radix, TaggingMode::RecordTagged);
     }
 
     #[test]
@@ -516,9 +547,9 @@ mod tests {
                 partition_by_column_with(&exec, t, cols, PartitionKernel::RunScatter).unwrap();
             assert_eq!(scatter.symbols, radix.symbols, "{}", mode.name());
             assert_eq!(scatter.col_starts, radix.col_starts, "{}", mode.name());
-            assert_eq!(scatter.rec_tags, radix.rec_tags, "{}", mode.name());
-            assert_eq!(scatter.delim_flags, radix.delim_flags, "{}", mode.name());
-            assert!(scatter.runs.is_some() && radix.runs.is_none());
+            assert_same_index(&scatter, &radix, mode);
+            assert!(scatter.rec_tags.is_empty() && scatter.delim_flags.is_none());
+            assert!(radix.runs.is_none());
         }
     }
 

@@ -6,8 +6,8 @@
 //!    (bitmaps + per-chunk metadata from the recovered contexts);
 //! 2. **scan** — the composite-operator scan and the record/column offset
 //!    scans;
-//! 3. **tag** — compaction of relevant symbols with their column/record
-//!    tags (mode-dependent, §4.1);
+//! 3. **tag** — compaction of relevant symbols into per-field runs
+//!    (mode-dependent, §4.1);
 //! 4. **partition** — field-run scatter (or the paper's stable radix
 //!    sort) into per-column CSSs;
 //! 5. **convert** — CSS indexing, optional type inference, and typed
@@ -33,7 +33,7 @@ use crate::timings::{ParseOutput, ParseStats, PhaseTimings, SimulatedTimings};
 use parparaw_columnar::{DataType, Field, Schema, Table};
 use parparaw_device::{CostModel, WorkProfile};
 use parparaw_dfa::csv::{rfc4180, CsvDialect};
-use parparaw_dfa::{Dfa, PairTable};
+use parparaw_dfa::Dfa;
 use parparaw_parallel::{Bitmap, KernelExecutor};
 
 /// A configured ParPaRaw parser: a DFA (the format) plus options.
@@ -41,16 +41,12 @@ use parparaw_parallel::{Bitmap, KernelExecutor};
 pub struct Parser {
     dfa: Dfa,
     options: ParserOptions,
-    /// Precomposed byte-pair table for pass 1, built once here when
-    /// [`ParserOptions::pass1_pair_table`] is set.
-    pair: Option<PairTable>,
 }
 
 impl Parser {
     /// Build a parser from a format automaton and options.
     pub fn new(dfa: Dfa, options: ParserOptions) -> Self {
-        let pair = options.pass1_pair_table.then(|| PairTable::build(&dfa));
-        Parser { dfa, options, pair }
+        Parser { dfa, options }
     }
 
     /// The format automaton.
@@ -128,14 +124,8 @@ impl Parser {
         };
 
         // Phases 1+2: context recovery and metadata.
-        let ctx = crate::context::determine_contexts_fast(
-            exec,
-            &self.dfa,
-            input,
-            cs,
-            o.scan_algorithm,
-            self.pair.as_ref(),
-        )?;
+        let ctx =
+            crate::context::determine_contexts_with(exec, &self.dfa, input, cs, o.scan_algorithm)?;
         let meta = identify_columns_and_records(exec, &self.dfa, input, cs, &ctx.start_states)?;
         let input_valid = self.dfa.is_accepting(ctx.final_state);
 
@@ -223,13 +213,13 @@ impl Parser {
             num_out_rows,
             diags: Some(&sink),
         };
-        let tagged = tag_symbols(exec, input, cs, &meta, &cfg)?;
+        let mut tagged = tag_symbols(exec, input, cs, &meta, &cfg)?;
         if tagged.terminator_clash {
             if let TaggingMode::InlineTerminated { terminator } = o.tagging {
                 return Err(ParseError::TerminatorInData { terminator });
             }
         }
-        let mut rejected = tagged.rejected.clone();
+        let mut rejected = std::mem::take(&mut tagged.rejected);
 
         // Trailing-record column validation happens here: the tagging
         // kernel only sees closed records.
@@ -274,12 +264,7 @@ impl Parser {
         }
 
         // Phase 4: partitioning.
-        let tagged_for_partition = crate::tagging::Tagged {
-            rejected: parparaw_parallel::Bitmap::new(0), // moved out above
-            ..tagged
-        };
-        let part =
-            partition_by_column_with(exec, tagged_for_partition, num_out_cols, o.partition_kernel)?;
+        let part = partition_by_column_with(exec, tagged, num_out_cols, o.partition_kernel)?;
 
         // Phase 5: indexing, inference, conversion — per-column launches
         // (the overhead the paper blames for small inputs, §5.1).
@@ -798,7 +783,10 @@ mod tests {
         // counters stand alone: all takes hit, nothing allocated.
         let (hits, misses_second) = exec.arena().stats();
         assert_eq!(misses_second, 0, "second run allocated fresh");
-        assert!(hits >= 5, "expected the second run's takes to hit: {hits}");
+        assert_eq!(
+            hits, misses_first,
+            "the second run takes what the first allocated"
+        );
     }
 
     #[test]

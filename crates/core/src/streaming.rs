@@ -263,7 +263,7 @@ impl Parser {
     /// is configured, arena budget pressure halves the effective partition
     /// size (down to a floor of `min(partition_size, 4096)` bytes) instead
     /// of pooling past the cap; under
-    /// [`ErrorPolicy::Strict`](crate::options::ErrorPolicy::Strict),
+    /// [`ErrorPolicy::Strict`],
     /// pressure *at* the floor interrupts the stream with
     /// [`ParseError::MemoryBudgetExceeded`].
     pub fn parse_stream_resumable(

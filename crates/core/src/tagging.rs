@@ -1,16 +1,21 @@
 //! Tagging symbols with their record and column (paper §3.2 bottom, §4.1).
 //!
 //! Using the bitmap indexes and the resolved offsets, each chunk walks its
-//! symbols and emits, for every *relevant* symbol, the data needed by the
-//! partitioning step. What is emitted depends on the tagging mode
-//! (paper Fig. 6):
+//! symbols and emits every *relevant* symbol into one compacted array,
+//! described at field granularity by [`FieldRun`]s: every emitted symbol
+//! extends the current `(column, row)` run or opens a new one. What is
+//! emitted depends on the tagging mode (paper Fig. 6):
 //!
-//! * **record-tagged** — data symbols only, each carrying `(column-tag,
-//!   record-tag)`;
+//! * **record-tagged** — data symbols only;
 //! * **inline-terminated** — data symbols plus a terminator byte in place
-//!   of each field-ending delimiter, carrying only the column tag;
-//! * **vector-delimited** — data symbols plus the original delimiter byte
-//!   flagged in an auxiliary boolean vector.
+//!   of each field-ending delimiter;
+//! * **vector-delimited** — data symbols plus the original delimiter byte.
+//!
+//! In the two delimiter-carrying modes a delimiter closes its run
+//! ([`FieldRun::closed`]). The runs are the only tag format: the paper's
+//! per-symbol column tags, record tags and delimiter flags are expanded
+//! from them only inside the radix-sort partition kernel, which needs them
+//! as sort keys and payloads.
 //!
 //! Tagging is also where record/column *skipping* happens (paper §4.3):
 //! symbols of skipped records or unselected columns are marked irrelevant
@@ -71,7 +76,7 @@ impl TagConfig<'_> {
 /// are never emitted, so a field's raw bytes need not be contiguous).
 /// A field split across chunk boundaries yields several adjacent runs
 /// with the same row, merged back by [`crate::css::index_from_runs`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FieldRun {
     /// Output column tag.
     pub col: u32,
@@ -88,37 +93,37 @@ pub struct FieldRun {
     pub closed: bool,
 }
 
-/// The tagging output: the compacted symbol stream plus tags.
+/// The tagging output: the compacted symbol stream and its field runs.
 #[derive(Debug, Clone)]
 pub struct Tagged {
     /// Relevant symbols, in input order (delimiters included in
     /// inline/vector modes, replaced by the terminator in inline mode).
     pub symbols: Vec<u8>,
-    /// Output-column tag per symbol.
+    /// Always empty: tagging emits field runs only, and the radix-sort
+    /// kernel expands per-symbol column tags from `runs`. The field stays
+    /// because the staged benchmark pipeline reads it for its traffic
+    /// count.
     pub col_tags: Vec<u32>,
-    /// Output-row tag per symbol (record-tagged mode only; empty
-    /// otherwise — that memory saving is the point of the other modes).
+    /// Always empty, for the same reason as `col_tags`: record tags are
+    /// expanded from `runs` inside the radix-sort kernel.
     pub rec_tags: Vec<u32>,
-    /// Auxiliary delimiter flags (vector-delimited mode only).
+    /// Always `None`, for the same reason as `col_tags`: delimiter flags
+    /// are expanded from the `closed` runs inside the radix-sort kernel.
     pub delim_flags: Option<Vec<bool>>,
-    /// Per-field runs over `symbols`, in input order (all modes). One
-    /// pass of field-granular metadata that the run-scatter partition
-    /// kernel moves whole fields with.
+    /// Per-field runs over `symbols`, in input order, tiling it exactly.
     pub runs: Vec<FieldRun>,
+    /// The tagging mode the runs were emitted under.
+    pub mode: TaggingMode,
     /// Per-output-row rejection flags.
     pub rejected: Bitmap,
     /// True when inline mode found the terminator byte inside field data.
     pub terminator_clash: bool,
 }
 
-/// Destination writers for one chunk's emission: symbols, column tags,
-/// optional row tags, optional delimiter flags, the field-run array, and
-/// the chunk's base offsets into the symbol and run arrays.
+/// Destination writers for one chunk's emission: the symbol array, the
+/// field-run array, and the chunk's base offsets into each.
 type EmitSinks<'a> = (
     &'a SlotWriter<'a, u8>,
-    &'a SlotWriter<'a, u32>,
-    Option<&'a SlotWriter<'a, u32>>,
-    Option<&'a SlotWriter<'a, bool>>,
     &'a SlotWriter<'a, FieldRun>,
     usize,
     usize,
@@ -126,9 +131,9 @@ type EmitSinks<'a> = (
 
 /// Run the two-pass tagging kernel as one instrumented `tag` launch.
 ///
-/// The symbol/tag arrays come from the executor's arena (labels
-/// `tag/symbols`, `tag/col-tags`, `tag/rec-tags`), so repeated runs on one
-/// executor — the streaming path — reuse their allocations.
+/// The symbol and run arrays come from the executor's arena (labels
+/// `tag/symbols`, `tag/runs`), so repeated runs on one executor — the
+/// streaming path — reuse their allocations.
 pub fn tag_symbols(
     exec: &KernelExecutor,
     input: &[u8],
@@ -158,6 +163,31 @@ pub fn tag_symbols(
         let mut count = 0u64;
         let mut cur_run: Option<FieldRun> = None;
         let mut runs_flushed = 0u64;
+        // Emit one symbol of field (col, row): extend the current run, or
+        // flush it and open a new one when the field changes or a
+        // delimiter closed the run.
+        let mut push = |byte: u8, col: u32, row: u32, is_delim: bool| {
+            if let Some((sym, _, base, _)) = emit.as_ref() {
+                unsafe { sym.write(*base + count as usize, byte) };
+            }
+            match &mut cur_run {
+                Some(run) if run.col == col && run.row == row && !run.closed => {
+                    run.len += 1;
+                    run.closed = is_delim;
+                }
+                _ => {
+                    flush_run(&mut cur_run, &mut runs_flushed, emit.as_ref());
+                    cur_run = Some(FieldRun {
+                        col,
+                        row,
+                        start: count,
+                        len: 1,
+                        closed: is_delim,
+                    });
+                }
+            }
+            count += 1;
+        };
         for i in ranges[c].clone() {
             let b = input[i];
             let is_rec = meta.records.get(i);
@@ -182,30 +212,7 @@ pub fn tag_symbols(
                 // The delimiter ends the field at (rec, col).
                 if include_delims {
                     if let Some((r, oc)) = cfg.out_row(rec).zip(map_col(cfg.col_map, col)) {
-                        if let Some((sym, ct, rt, fl, _, base, _)) = emit.as_ref() {
-                            let dst = *base + count as usize;
-                            let byte_out = terminator.unwrap_or(b);
-                            unsafe {
-                                sym.write(dst, byte_out);
-                                ct.write(dst, oc);
-                                if let Some(rt) = rt {
-                                    rt.write(dst, r as u32);
-                                }
-                                if let Some(fl) = fl {
-                                    fl.write(dst, true);
-                                }
-                            }
-                        }
-                        track_run(
-                            &mut cur_run,
-                            &mut runs_flushed,
-                            emit.as_ref(),
-                            oc,
-                            r as u32,
-                            count,
-                            true,
-                        );
-                        count += 1;
+                        push(terminator.unwrap_or(b), oc, r as u32, true);
                     }
                 }
                 if is_rec {
@@ -243,31 +250,8 @@ pub fn tag_symbols(
                         }
                     }
                 }
-                let kept = cfg.out_row(rec).zip(map_col(cfg.col_map, col));
-                if let Some((r, oc)) = kept {
-                    if let Some((sym, ct, rt, fl, _, base, _)) = emit.as_ref() {
-                        let dst = *base + count as usize;
-                        unsafe {
-                            sym.write(dst, b);
-                            ct.write(dst, oc);
-                            if let Some(rt) = rt {
-                                rt.write(dst, r as u32);
-                            }
-                            if let Some(fl) = fl {
-                                fl.write(dst, false);
-                            }
-                        }
-                    }
-                    track_run(
-                        &mut cur_run,
-                        &mut runs_flushed,
-                        emit.as_ref(),
-                        oc,
-                        r as u32,
-                        count,
-                        false,
-                    );
-                    count += 1;
+                if let Some((r, oc)) = cfg.out_row(rec).zip(map_col(cfg.col_map, col)) {
+                    push(b, oc, r as u32, false);
                 }
             }
         }
@@ -275,88 +259,52 @@ pub fn tag_symbols(
         (count, runs_flushed)
     };
 
-    let want_rec_tags = matches!(cfg.mode, TaggingMode::RecordTagged);
-    let want_flags = matches!(cfg.mode, TaggingMode::VectorDelimited);
+    let (symbols, runs) = exec.launch("tag", n_chunks, |grid, counters| {
+        // Pass A: count symbol and run emissions (and mark rejects /
+        // clashes once).
+        let counts: Vec<(u64, u64)> = grid.map_indexed(n_chunks, |c| walk(c, None, true));
+        let sym_counts: Vec<u64> = counts.iter().map(|c| c.0).collect();
+        let run_counts: Vec<u64> = counts.iter().map(|c| c.1).collect();
+        let (offsets, total) = scan::exclusive_scan_total(grid, &sym_counts, &scan::AddOp);
+        let (run_offsets, runs_total) = scan::exclusive_scan_total(grid, &run_counts, &scan::AddOp);
+        let total = total as usize;
+        let runs_total = runs_total as usize;
 
-    let (symbols, col_tags, rec_tags, flags, runs) =
-        exec.launch("tag", n_chunks, |grid, counters| {
-            // Pass A: count symbol and run emissions (and mark rejects /
-            // clashes once).
-            let counts: Vec<(u64, u64)> = grid.map_indexed(n_chunks, |c| walk(c, None, true));
-            let sym_counts: Vec<u64> = counts.iter().map(|c| c.0).collect();
-            let run_counts: Vec<u64> = counts.iter().map(|c| c.1).collect();
-            let (offsets, total) = scan::exclusive_scan_total(grid, &sym_counts, &scan::AddOp);
-            let (run_offsets, runs_total) =
-                scan::exclusive_scan_total(grid, &run_counts, &scan::AddOp);
-            let total = total as usize;
-            let runs_total = runs_total as usize;
+        // Pass B: emit into pre-sized arena-backed arrays.
+        let arena = exec.arena();
+        let mut symbols = arena.take_u8("tag/symbols");
+        symbols.resize(total, 0);
+        let mut runs = arena.take_vec::<FieldRun>("tag/runs");
+        runs.resize(runs_total, FieldRun::default());
+        {
+            let sym_w = SlotWriter::new(&mut symbols);
+            let run_w = SlotWriter::new(&mut runs);
+            grid.run_partitioned(n_chunks, |_, range| {
+                for c in range {
+                    grid.check_abort(c);
+                    let sinks = (&sym_w, &run_w, offsets[c] as usize, run_offsets[c] as usize);
+                    walk(c, Some(sinks), false);
+                }
+            });
+        }
 
-            // Pass B: emit into pre-sized arena-backed arrays.
-            let arena = exec.arena();
-            let mut symbols = arena.take_u8("tag/symbols");
-            symbols.resize(total, 0);
-            let mut col_tags = arena.take_u32("tag/col-tags");
-            col_tags.resize(total, 0);
-            let mut rec_tags = arena.take_u32("tag/rec-tags");
-            rec_tags.resize(if want_rec_tags { total } else { 0 }, 0);
-            let mut flags = vec![false; if want_flags { total } else { 0 }];
-            let empty_run = FieldRun {
-                col: 0,
-                row: 0,
-                start: 0,
-                len: 0,
-                closed: false,
-            };
-            let mut runs = arena.take_vec::<FieldRun>("tag/runs");
-            runs.clear();
-            runs.resize(runs_total, empty_run);
-            {
-                let sym_w = SlotWriter::new(&mut symbols);
-                let ct_w = SlotWriter::new(&mut col_tags);
-                let rt_w = SlotWriter::new(&mut rec_tags);
-                let fl_w = SlotWriter::new(&mut flags);
-                let run_w = SlotWriter::new(&mut runs);
-                grid.run_partitioned(n_chunks, |_, range| {
-                    for c in range {
-                        grid.check_abort(c);
-                        let rt = want_rec_tags.then_some(&rt_w);
-                        let fl = want_flags.then_some(&fl_w);
-                        walk(
-                            c,
-                            Some((
-                                &sym_w,
-                                &ct_w,
-                                rt,
-                                fl,
-                                &run_w,
-                                offsets[c] as usize,
-                                run_offsets[c] as usize,
-                            )),
-                            false,
-                        );
-                    }
-                });
-            }
+        // Work counters: two passes over the input plus the emission
+        // writes (one byte per symbol, and the field-run metadata).
+        counters.kernel_launches = 2;
+        counters.bytes_read = 2 * (n as u64 + n as u64 / 2); // input + bitmaps, twice
+        counters.bytes_written = total as u64 + runs_total as u64 * RUN_BYTES;
+        counters.parallel_ops = 2 * n as u64;
 
-            // Work counters: two passes over the input plus the emission
-            // writes (symbols, tags, and the field-run metadata).
-            let per_symbol_out =
-                1 + 4 + if want_rec_tags { 4 } else { 0 } + if want_flags { 1 } else { 0 };
-            counters.kernel_launches = 2;
-            counters.bytes_read = 2 * (n as u64 + n as u64 / 2); // input + bitmaps, twice
-            counters.bytes_written =
-                total as u64 * per_symbol_out as u64 + runs_total as u64 * RUN_BYTES;
-            counters.parallel_ops = 2 * n as u64;
-
-            (symbols, col_tags, rec_tags, flags, runs)
-        })?;
+        (symbols, runs)
+    })?;
 
     Ok(Tagged {
         symbols,
-        col_tags,
-        rec_tags,
-        delim_flags: want_flags.then_some(flags),
+        col_tags: Vec::new(),
+        rec_tags: Vec::new(),
+        delim_flags: None,
         runs,
+        mode: cfg.mode,
         rejected: rejected.into_bitmap(),
         terminator_clash: clash.load(Ordering::Relaxed),
     })
@@ -365,43 +313,12 @@ pub fn tag_symbols(
 /// Cost-model size of one [`FieldRun`] (col + row + start + len + closed).
 pub(crate) const RUN_BYTES: u64 = 25;
 
-/// Extend the current field run with one emitted symbol at emission
-/// position `count`, or flush it and open a new one when the `(col, row)`
-/// changes (or the previous run was closed by a delimiter).
-#[inline]
-fn track_run(
-    cur: &mut Option<FieldRun>,
-    flushed: &mut u64,
-    emit: Option<&EmitSinks<'_>>,
-    col: u32,
-    row: u32,
-    count: u64,
-    is_delim: bool,
-) {
-    match cur {
-        Some(run) if run.col == col && run.row == row && !run.closed => {
-            run.len += 1;
-            run.closed = is_delim;
-        }
-        _ => {
-            flush_run(cur, flushed, emit);
-            *cur = Some(FieldRun {
-                col,
-                row,
-                start: count,
-                len: 1,
-                closed: is_delim,
-            });
-        }
-    }
-}
-
 /// Write the pending run (if any) to the run sink, rebasing its
 /// chunk-local start to the global tagged-array offset.
 #[inline]
 fn flush_run(cur: &mut Option<FieldRun>, flushed: &mut u64, emit: Option<&EmitSinks<'_>>) {
     if let Some(run) = cur.take() {
-        if let Some((_, _, _, _, run_w, base, run_base)) = emit {
+        if let Some((_, run_w, base, run_base)) = emit {
             let dst = *run_base + *flushed as usize;
             unsafe {
                 run_w.write(
@@ -445,6 +362,18 @@ mod tests {
         (0..n as u32).map(Some).collect()
     }
 
+    /// The per-symbol `(column, row, delimiter)` tags the runs stand for,
+    /// checking on the way that the runs tile the symbol array in order.
+    fn symbol_tags(t: &Tagged) -> Vec<(u32, u32, bool)> {
+        let mut tags = Vec::new();
+        for r in &t.runs {
+            assert_eq!(r.start, tags.len() as u64, "runs tile the symbols");
+            tags.extend((1..=r.len).map(|i| (r.col, r.row, r.closed && i == r.len)));
+        }
+        assert_eq!(tags.len(), t.symbols.len());
+        tags
+    }
+
     #[test]
     fn record_tagged_matches_figure5() {
         // Fig. 4/5 input: tags per symbol for the Bookcase example.
@@ -466,10 +395,13 @@ mod tests {
             String::from_utf8_lossy(&s),
             "1941199.99Bookcase193819.99Frame\n\"Ribba\", black"
         );
-        // First record's symbols: cols 0,0,0,0 then 1... and recs all 0.
-        assert_eq!(&t.col_tags[..10], &[0, 0, 0, 0, 1, 1, 1, 1, 1, 1]);
-        assert!(t.rec_tags[..18].iter().all(|&r| r == 0));
-        assert!(t.rec_tags[18..].iter().all(|&r| r == 1));
+        // First record's symbols: cols 0,0,0,0 then 1... and rows all 0.
+        let tags = symbol_tags(&t);
+        let cols: Vec<u32> = tags.iter().map(|tag| tag.0).collect();
+        assert_eq!(&cols[..10], &[0, 0, 0, 0, 1, 1, 1, 1, 1, 1]);
+        assert!(tags[..18].iter().all(|tag| tag.1 == 0));
+        assert!(tags[18..].iter().all(|tag| tag.1 == 1));
+        assert!(t.runs.iter().all(|r| !r.closed), "no delimiters emitted");
         assert!(!t.terminator_clash);
         assert_eq!(t.rejected.count_ones(), 0);
     }
@@ -492,23 +424,23 @@ mod tests {
         // Column 1's portion (after partitioning) will be
         // Apples\0\0Pears\0; before partitioning symbols interleave, so
         // filter by tag here.
-        let col1: Vec<u8> = t
+        let tags = symbol_tags(&t);
+        let col = |c: u32| -> Vec<u8> {
+            t.symbols
+                .iter()
+                .zip(&tags)
+                .filter(|(_, tag)| tag.0 == c)
+                .map(|(&b, _)| b)
+                .collect()
+        };
+        assert_eq!(col(1), b"Apples\0\0Pears\0");
+        assert_eq!(col(0), b"0\x001\x002\x00");
+        // Exactly the terminators close their runs.
+        assert!(t
             .symbols
             .iter()
-            .zip(&t.col_tags)
-            .filter(|(_, &c)| c == 1)
-            .map(|(&b, _)| b)
-            .collect();
-        assert_eq!(col1, b"Apples\0\0Pears\0");
-        let col0: Vec<u8> = t
-            .symbols
-            .iter()
-            .zip(&t.col_tags)
-            .filter(|(_, &c)| c == 0)
-            .map(|(&b, _)| b)
-            .collect();
-        assert_eq!(col0, b"0\x001\x002\x00");
-        assert!(t.rec_tags.is_empty());
+            .zip(&tags)
+            .all(|(&b, tag)| tag.2 == (b == 0)));
     }
 
     #[test]
@@ -525,14 +457,12 @@ mod tests {
             diags: None,
         };
         let t = tag_symbols(&exec, input, 7, &meta, &cfg).unwrap();
-        let flags = t.delim_flags.as_ref().unwrap();
         let col1: Vec<(u8, bool)> = t
             .symbols
             .iter()
-            .zip(flags)
-            .zip(&t.col_tags)
-            .filter(|(_, &c)| c == 1)
-            .map(|((&b, &f), _)| (b, f))
+            .zip(symbol_tags(&t))
+            .filter(|(_, tag)| tag.0 == 1)
+            .map(|(&b, tag)| (b, tag.2))
             .collect();
         // Paper Fig. 6: Apples??Pears? with flags on the delimiters.
         let bytes: Vec<u8> = col1.iter().map(|p| p.0).collect();
@@ -563,8 +493,8 @@ mod tests {
         };
         let t = tag_symbols(&exec, input, 4, &meta, &cfg).unwrap();
         assert_eq!(String::from_utf8_lossy(&t.symbols), "acgi");
-        assert_eq!(t.col_tags, vec![0, 1, 0, 1]);
-        assert_eq!(t.rec_tags, vec![0, 0, 1, 1]);
+        let runs: Vec<(u32, u32)> = t.runs.iter().map(|r| (r.col, r.row)).collect();
+        assert_eq!(runs, vec![(0, 0), (1, 0), (0, 1), (1, 1)]);
     }
 
     #[test]
@@ -623,25 +553,16 @@ mod tests {
     #[test]
     fn deterministic_across_chunk_sizes_and_workers() {
         let input = b"x,\"y,\ny\",z\n1,\"2\",3\n,,\na,b,c";
-        let reference = {
-            let (exec, meta) = run_meta(input, 6, 1);
-            let col_map = identity_map(3);
-            let cfg = TagConfig {
-                mode: TaggingMode::RecordTagged,
-                col_map: &col_map,
-                skip_records: &[],
-                expected_columns: None,
-                num_out_rows: meta.num_records,
-                diags: None,
-            };
-            tag_symbols(&exec, input, 6, &meta, &cfg).unwrap()
-        };
-        for chunk_size in [1usize, 3, 10, 31, 200] {
-            for workers in [1usize, 4] {
+        let col_map = identity_map(3);
+        for mode in [
+            TaggingMode::RecordTagged,
+            TaggingMode::InlineTerminated { terminator: 0 },
+            TaggingMode::VectorDelimited,
+        ] {
+            let tag = |chunk_size: usize, workers: usize| {
                 let (exec, meta) = run_meta(input, chunk_size, workers);
-                let col_map = identity_map(3);
                 let cfg = TagConfig {
-                    mode: TaggingMode::RecordTagged,
+                    mode,
                     col_map: &col_map,
                     skip_records: &[],
                     expected_columns: None,
@@ -649,9 +570,24 @@ mod tests {
                     diags: None,
                 };
                 let t = tag_symbols(&exec, input, chunk_size, &meta, &cfg).unwrap();
-                assert_eq!(t.symbols, reference.symbols, "cs={chunk_size} w={workers}");
-                assert_eq!(t.col_tags, reference.col_tags);
-                assert_eq!(t.rec_tags, reference.rec_tags);
+                // The tag launch writes one byte per symbol plus the runs.
+                let launch = exec.drain_log().into_iter().find(|r| r.label == "tag");
+                assert_eq!(
+                    launch.unwrap().bytes_written,
+                    t.symbols.len() as u64 + RUN_BYTES * t.runs.len() as u64,
+                    "{}",
+                    mode.name()
+                );
+                t
+            };
+            let reference = tag(6, 1);
+            for chunk_size in [1usize, 3, 10, 31, 200] {
+                for workers in [1usize, 4] {
+                    let t = tag(chunk_size, workers);
+                    let what = format!("{} cs={chunk_size} w={workers}", mode.name());
+                    assert_eq!(t.symbols, reference.symbols, "{what}");
+                    assert_eq!(symbol_tags(&t), symbol_tags(&reference), "{what}");
+                }
             }
         }
     }

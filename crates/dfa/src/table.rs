@@ -19,8 +19,8 @@
 //!   rebuilds the full vector by remapping at the end.
 //! * **Byte-pair table** — [`PairTable`] precomposes every two-byte
 //!   sequence into one row (64 Ki × u64 = 512 KiB, L2-resident), halving
-//!   the loads in the collapsed loop. Optional and ablated; enabled via
-//!   `ParserOptions::pass1_pair_table` in `parparaw-core`.
+//!   the loads in the collapsed loop. Optional and ablated; the parser
+//!   does not build it, since doing so would multiply its set-up cost.
 //!
 //! The fast kernel returns the lane-operation count it actually executed
 //! so the simulated-device cost replay sees the reduced work.

@@ -399,21 +399,6 @@ impl<'a, T> SlotWriter<'a, T> {
         debug_assert!(dst + src.len() <= self.len);
         std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(dst), src.len());
     }
-
-    /// Fill slots `dst..dst + count` with `value` (the run-scatter
-    /// kernel's record-tag materialisation: one tag per symbol of a run).
-    ///
-    /// # Safety
-    /// Same contract as [`SlotWriter::write_slice`].
-    pub unsafe fn write_fill(&self, dst: usize, count: usize, value: T)
-    where
-        T: Copy,
-    {
-        debug_assert!(dst + count <= self.len);
-        for i in 0..count {
-            *self.ptr.add(dst + i) = value;
-        }
-    }
 }
 
 #[cfg(test)]
