@@ -40,6 +40,8 @@ pub struct Row {
     pub pass1_wall_ms: f64,
     /// Wall ms of the pass-2 kernels alone (bitmaps + chunk metadata).
     pub pass2_wall_ms: f64,
+    /// Wall ms of the tag phase alone (symbols and field runs).
+    pub tag_wall_ms: f64,
     /// Wall ms of the partition phase alone, run-scatter kernel.
     pub partition_wall_ms: f64,
     /// Wall ms of the partition phase alone, radix-sort fallback — the
@@ -95,9 +97,9 @@ pub fn run(dataset: Dataset, bytes: usize, workers: usize) -> Vec<Row> {
                     .num_records
             });
 
-            // Isolated partition (both kernels) and convert timings. The
-            // partition kernels consume the tagged buffers, so each rep
-            // scatters a fresh clone (made outside the timed region).
+            // Isolated tag, partition (both kernels) and convert timings.
+            // The partition kernels consume the tagged buffers, so each
+            // rep scatters a fresh clone (made outside the timed region).
             let meta = identify_columns_and_records(&exec, &dfa, &data, cs, &ctx.start_states)
                 .expect("pass 2 runs");
             let num_cols = schema.num_columns();
@@ -110,6 +112,15 @@ pub fn run(dataset: Dataset, bytes: usize, workers: usize) -> Vec<Row> {
                 num_out_rows: meta.num_records,
                 diags: None,
             };
+            // Each rep hands its buffers back to the arena, as the
+            // pipeline does, so later reps reuse their capacity.
+            let tag_wall_ms = bench_ms(reps, || {
+                let t = tag_symbols(&exec, &data, cs, &meta, &cfg).expect("tag runs");
+                let len = t.symbols.len();
+                exec.arena().put_u8("tag/symbols", t.symbols);
+                exec.arena().put_vec("tag/runs", t.runs);
+                len
+            });
             let tagged = tag_symbols(&exec, &data, cs, &meta, &cfg).expect("tag runs");
             let time_kernel = |kernel: PartitionKernel| {
                 bench_ms_consuming(
@@ -161,6 +172,7 @@ pub fn run(dataset: Dataset, bytes: usize, workers: usize) -> Vec<Row> {
                 sim_ms,
                 pass1_wall_ms,
                 pass2_wall_ms,
+                tag_wall_ms,
                 partition_wall_ms,
                 partition_radix_wall_ms,
                 convert_wall_ms,
@@ -286,13 +298,15 @@ pub fn to_json(
         for (ri, r) in rows.iter().enumerate() {
             out.push_str(&format!(
                 "      {{ \"chunk_size\": {}, \"wall_total_ms\": {}, \"sim_total_ms\": {}, \
-                 \"pass1_wall_ms\": {}, \"pass2_wall_ms\": {}, \"partition_wall_ms\": {}, \
-                 \"partition_radix_wall_ms\": {}, \"convert_wall_ms\": {}, \"phases\": [",
+                 \"pass1_wall_ms\": {}, \"pass2_wall_ms\": {}, \"tag_wall_ms\": {}, \
+                 \"partition_wall_ms\": {}, \"partition_radix_wall_ms\": {}, \
+                 \"convert_wall_ms\": {}, \"phases\": [",
                 r.chunk_size,
                 json_num(r.wall_total_ms),
                 json_num(r.sim_total_ms),
                 json_num(r.pass1_wall_ms),
                 json_num(r.pass2_wall_ms),
+                json_num(r.tag_wall_ms),
                 json_num(r.partition_wall_ms),
                 json_num(r.partition_radix_wall_ms),
                 json_num(r.convert_wall_ms),
@@ -392,6 +406,7 @@ mod tests {
         assert!(json.contains("\"harness\": \"fig09\""));
         assert!(json.contains("\"cancel_overhead_pct\""));
         assert!(json.contains("\"pass1_wall_ms\""));
+        assert!(json.contains("\"tag_wall_ms\""));
         assert!(json.contains("\"partition_wall_ms\""));
         assert!(json.contains("\"partition_radix_wall_ms\""));
         assert!(json.contains("\"convert_wall_ms\""));

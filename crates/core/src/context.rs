@@ -22,8 +22,6 @@ use parparaw_parallel::{lookback, scan, Grid, KernelExecutor, LaunchError};
 /// The result of context determination.
 #[derive(Debug)]
 pub struct ContextPass {
-    /// Per-chunk state-transition vectors (pass-1 output).
-    pub vectors: Vec<StateVector>,
     /// Per-chunk resolved starting states.
     pub start_states: Vec<u8>,
     /// The DFA state after the whole input — used for validation.
@@ -111,7 +109,6 @@ pub fn determine_contexts_fast(
     })?;
 
     Ok(ContextPass {
-        vectors,
         start_states,
         final_state,
     })
@@ -177,7 +174,7 @@ mod tests {
         let dfa = rfc4180_paper();
         let grid = Grid::new(2);
         let ctx = determine_contexts(&grid, &dfa, b"", 31);
-        assert!(ctx.vectors.is_empty());
+        assert!(ctx.start_states.is_empty());
         assert_eq!(ctx.final_state, dfa.start_state());
         assert!(ctx.is_accepted_by(&dfa));
     }

@@ -345,15 +345,11 @@ pub struct PartitionIter<'a> {
     pos: usize,
     /// The end of the last cut; `input[pos..cut]` is the carry.
     cut: usize,
-    /// The effective partition size, halved under arena budget pressure.
+    /// The effective partition size, used by the next cut and halved
+    /// under arena budget pressure.
     psize: usize,
     /// The lowest `psize` budget pressure may degrade to.
     floor: usize,
-    /// Sizes of the next three cuts. The transfer stage of the Fig. 7
-    /// double buffer has two partitions in flight while one parses, so a
-    /// size change decided after a partition applies from the third
-    /// partition after it.
-    in_flight: [usize; 3],
     /// The arena's cumulative pressure count after the last partition.
     last_pressure: u64,
     /// Rows emitted so far, for stream-global diagnostic indices.
@@ -413,7 +409,6 @@ impl<'a> PartitionIter<'a> {
             cut: pos,
             psize,
             floor: initial_psize.min(PARTITION_FLOOR_BYTES),
-            in_flight: [psize; 3],
             last_pressure,
             rows: checkpoint.rows_emitted,
             header_pending: !checkpoint.header_done,
@@ -437,10 +432,8 @@ impl<'a> PartitionIter<'a> {
         let input = self.input;
         loop {
             let carry_bytes = (self.cut - self.pos) as u64;
-            let size = self.in_flight[0];
-            self.in_flight = [self.in_flight[1], self.in_flight[2], self.psize];
             let cut_from = self.cut;
-            self.cut = self.cut.saturating_add(size).min(input.len());
+            self.cut = self.cut.saturating_add(self.psize).min(input.len());
             self.done = self.cut == input.len();
             let has_more = !self.done;
 
@@ -501,7 +494,6 @@ impl<'a> PartitionIter<'a> {
                 let o = self.parser.options();
                 if self.psize > self.floor {
                     self.psize = (self.psize / 2).max(self.floor);
-                    self.in_flight[2] = self.psize;
                     budget_degraded = true;
                 } else if matches!(o.error_policy, ErrorPolicy::Strict) {
                     return Err(ParseError::MemoryBudgetExceeded {

@@ -22,16 +22,16 @@
 //! and never emitted, and where per-record rejection (invalid transitions,
 //! wrong column count) is recorded.
 //!
-//! The emission is allocation-free and parallel: a counting pass per chunk,
-//! an exclusive prefix sum over the counts, then a second pass writing
-//! straight into the global arrays — the standard GPU compaction shape.
+//! The emission walks the input once: each worker appends its contiguous
+//! chunk range's symbols and runs to its own buffers, and the buffers are
+//! joined in input order. The GPU compaction shape (a counting pass, a
+//! prefix sum over the counts, then a second pass scattering into
+//! pre-sized arrays) would read every byte twice.
 
 use crate::chunks::{chunk_ranges, num_chunks};
 use crate::diag::{DiagSink, RecordDiagnostic, RejectReason};
 use crate::meta::MetaPass;
 use crate::options::TaggingMode;
-use parparaw_parallel::grid::SlotWriter;
-use parparaw_parallel::scan;
 use parparaw_parallel::{AtomicBitmap, Bitmap, KernelExecutor, LaunchError};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -120,20 +120,13 @@ pub struct Tagged {
     pub terminator_clash: bool,
 }
 
-/// Destination writers for one chunk's emission: the symbol array, the
-/// field-run array, and the chunk's base offsets into each.
-type EmitSinks<'a> = (
-    &'a SlotWriter<'a, u8>,
-    &'a SlotWriter<'a, FieldRun>,
-    usize,
-    usize,
-);
-
-/// Run the two-pass tagging kernel as one instrumented `tag` launch.
+/// Run the one-walk tagging kernel as one instrumented `tag` launch.
 ///
-/// The symbol and run arrays come from the executor's arena (labels
-/// `tag/symbols`, `tag/runs`), so repeated runs on one executor — the
-/// streaming path — reuse their allocations.
+/// Each worker walks its contiguous chunk range once, appending symbols
+/// and runs to its own arena buffers (labels `tag/symbols`, `tag/runs`,
+/// so repeated runs on one executor — the streaming path — reuse their
+/// allocations). The buffers are then joined in worker order, which is
+/// input order; with one worker the join is a move.
 pub fn tag_symbols(
     exec: &KernelExecutor,
     input: &[u8],
@@ -153,46 +146,36 @@ pub fn tag_symbols(
     let rejected = AtomicBitmap::new(cfg.num_out_rows as usize);
     let clash = AtomicBool::new(false);
 
-    // Shared chunk walker: every relevant symbol is written through the
-    // sinks (pass B) or merely counted (pass A), and simultaneously
-    // extends or opens the current field run. Returns the chunk's
-    // (symbol, run) emission counts.
-    let walk = |c: usize, emit: Option<EmitSinks<'_>>, mark: bool| -> (u64, u64) {
+    // Chunk walker: appends every relevant symbol of chunk `c`, extending
+    // the chunk's current field run or opening a new one, and marks
+    // rejects and terminator clashes on the way. Runs never span chunks.
+    let walk = |c: usize, symbols: &mut Vec<u8>, runs: &mut Vec<FieldRun>| {
         let mut rec = meta.record_offsets[c];
         let mut col = meta.col_offsets[c];
-        let mut count = 0u64;
-        let mut cur_run: Option<FieldRun> = None;
-        let mut runs_flushed = 0u64;
+        let first_run = runs.len();
         // Emit one symbol of field (col, row): extend the current run, or
-        // flush it and open a new one when the field changes or a
-        // delimiter closed the run.
+        // open a new one when the field changes or a delimiter closed it.
         let mut push = |byte: u8, col: u32, row: u32, is_delim: bool| {
-            if let Some((sym, _, base, _)) = emit.as_ref() {
-                unsafe { sym.write(*base + count as usize, byte) };
-            }
-            match &mut cur_run {
+            match runs[first_run..].last_mut() {
                 Some(run) if run.col == col && run.row == row && !run.closed => {
                     run.len += 1;
                     run.closed = is_delim;
                 }
-                _ => {
-                    flush_run(&mut cur_run, &mut runs_flushed, emit.as_ref());
-                    cur_run = Some(FieldRun {
-                        col,
-                        row,
-                        start: count,
-                        len: 1,
-                        closed: is_delim,
-                    });
-                }
+                _ => runs.push(FieldRun {
+                    col,
+                    row,
+                    start: symbols.len() as u64,
+                    len: 1,
+                    closed: is_delim,
+                }),
             }
-            count += 1;
+            symbols.push(byte);
         };
         for i in ranges[c].clone() {
             let b = input[i];
             let is_rec = meta.records.get(i);
             let is_fld = !is_rec && meta.fields.get(i);
-            if mark && meta.rejects.get(i) {
+            if meta.rejects.get(i) {
                 // A control-only trailing segment (say a stray \r after the
                 // last newline) can carry reject bits without forming a
                 // trailing record; there is no output row to attach them to.
@@ -216,21 +199,19 @@ pub fn tag_symbols(
                     }
                 }
                 if is_rec {
-                    if mark {
-                        if let (Some(expect), Some(r)) = (cfg.expected_columns, cfg.out_row(rec)) {
-                            if col + 1 != expect {
-                                rejected.set(r as usize);
-                                if let Some(sink) = cfg.diags {
-                                    sink.push(RecordDiagnostic {
-                                        record: r,
-                                        column: None,
-                                        byte_offset: Some(i as u64),
-                                        reason: RejectReason::ColumnCountMismatch {
-                                            expected: expect,
-                                            got: col + 1,
-                                        },
-                                    });
-                                }
+                    if let (Some(expect), Some(r)) = (cfg.expected_columns, cfg.out_row(rec)) {
+                        if col + 1 != expect {
+                            rejected.set(r as usize);
+                            if let Some(sink) = cfg.diags {
+                                sink.push(RecordDiagnostic {
+                                    record: r,
+                                    column: None,
+                                    byte_offset: Some(i as u64),
+                                    reason: RejectReason::ColumnCountMismatch {
+                                        expected: expect,
+                                        got: col + 1,
+                                    },
+                                });
                             }
                         }
                     }
@@ -243,57 +224,49 @@ pub fn tag_symbols(
                 // Syntax, not data: never emitted.
             } else {
                 // Data symbol.
-                if mark {
-                    if let Some(t) = terminator {
-                        if b == t {
-                            clash.store(true, Ordering::Relaxed);
-                        }
-                    }
+                if terminator == Some(b) {
+                    clash.store(true, Ordering::Relaxed);
                 }
                 if let Some((r, oc)) = cfg.out_row(rec).zip(map_col(cfg.col_map, col)) {
                     push(b, oc, r as u32, false);
                 }
             }
         }
-        flush_run(&mut cur_run, &mut runs_flushed, emit.as_ref());
-        (count, runs_flushed)
     };
 
     let (symbols, runs) = exec.launch("tag", n_chunks, |grid, counters| {
-        // Pass A: count symbol and run emissions (and mark rejects /
-        // clashes once).
-        let counts: Vec<(u64, u64)> = grid.map_indexed(n_chunks, |c| walk(c, None, true));
-        let sym_counts: Vec<u64> = counts.iter().map(|c| c.0).collect();
-        let run_counts: Vec<u64> = counts.iter().map(|c| c.1).collect();
-        let (offsets, total) = scan::exclusive_scan_total(grid, &sym_counts, &scan::AddOp);
-        let (run_offsets, runs_total) = scan::exclusive_scan_total(grid, &run_counts, &scan::AddOp);
-        let total = total as usize;
-        let runs_total = runs_total as usize;
-
-        // Pass B: emit into pre-sized arena-backed arrays.
         let arena = exec.arena();
-        let mut symbols = arena.take_u8("tag/symbols");
-        symbols.resize(total, 0);
-        let mut runs = arena.take_vec::<FieldRun>("tag/runs");
-        runs.resize(runs_total, FieldRun::default());
-        {
-            let sym_w = SlotWriter::new(&mut symbols);
-            let run_w = SlotWriter::new(&mut runs);
-            grid.run_partitioned(n_chunks, |_, range| {
-                for c in range {
+        let parts = grid.partition(n_chunks);
+        let mut outs = grid
+            .map_indexed(parts.len(), |w| {
+                let mut symbols = arena.take_u8("tag/symbols");
+                let mut runs = arena.take_vec::<FieldRun>("tag/runs");
+                for c in parts[w].clone() {
                     grid.check_abort(c);
-                    let sinks = (&sym_w, &run_w, offsets[c] as usize, run_offsets[c] as usize);
-                    walk(c, Some(sinks), false);
+                    walk(c, &mut symbols, &mut runs);
                 }
-            });
+                (symbols, runs)
+            })
+            .into_iter();
+        // Join in worker order, rebasing each run onto the joined array.
+        let (mut symbols, mut runs) = outs.next().unwrap_or_default();
+        for (s, r) in outs {
+            let base = symbols.len() as u64;
+            runs.extend(r.iter().map(|run| FieldRun {
+                start: base + run.start,
+                ..*run
+            }));
+            symbols.extend_from_slice(&s);
+            arena.put_u8("tag/symbols", s);
+            arena.put_vec("tag/runs", r);
         }
 
-        // Work counters: two passes over the input plus the emission
-        // writes (one byte per symbol, and the field-run metadata).
-        counters.kernel_launches = 2;
-        counters.bytes_read = 2 * (n as u64 + n as u64 / 2); // input + bitmaps, twice
-        counters.bytes_written = total as u64 + runs_total as u64 * RUN_BYTES;
-        counters.parallel_ops = 2 * n as u64;
+        // Work counters: one pass over the input and its bitmaps plus the
+        // emission writes (one byte per symbol, and the field-run
+        // metadata). The join copy is a host artefact and is not charged.
+        counters.bytes_read = n as u64 + n as u64 / 2; // input + bitmaps
+        counters.bytes_written = symbols.len() as u64 + runs.len() as u64 * RUN_BYTES;
+        counters.parallel_ops = n as u64;
 
         (symbols, runs)
     })?;
@@ -312,27 +285,6 @@ pub fn tag_symbols(
 
 /// Cost-model size of one [`FieldRun`] (col + row + start + len + closed).
 pub(crate) const RUN_BYTES: u64 = 25;
-
-/// Write the pending run (if any) to the run sink, rebasing its
-/// chunk-local start to the global tagged-array offset.
-#[inline]
-fn flush_run(cur: &mut Option<FieldRun>, flushed: &mut u64, emit: Option<&EmitSinks<'_>>) {
-    if let Some(run) = cur.take() {
-        if let Some((_, run_w, base, run_base)) = emit {
-            let dst = *run_base + *flushed as usize;
-            unsafe {
-                run_w.write(
-                    dst,
-                    FieldRun {
-                        start: *base as u64 + run.start,
-                        ..run
-                    },
-                )
-            };
-        }
-        *flushed += 1;
-    }
-}
 
 #[inline]
 fn map_col(col_map: &[Option<u32>], col: u32) -> Option<u32> {
@@ -554,39 +506,56 @@ mod tests {
     fn deterministic_across_chunk_sizes_and_workers() {
         let input = b"x,\"y,\ny\",z\n1,\"2\",3\n,,\na,b,c";
         let col_map = identity_map(3);
-        for mode in [
-            TaggingMode::RecordTagged,
-            TaggingMode::InlineTerminated { terminator: 0 },
-            TaggingMode::VectorDelimited,
-        ] {
-            let tag = |chunk_size: usize, workers: usize| {
-                let (exec, meta) = run_meta(input, chunk_size, workers);
-                let cfg = TagConfig {
-                    mode,
-                    col_map: &col_map,
-                    skip_records: &[],
-                    expected_columns: None,
-                    num_out_rows: meta.num_records,
-                    diags: None,
+        // Records 1 and 2 span bytes 11..22. At chunk size 3, the third of
+        // four workers walks bytes 15..21 only, so skipping them leaves
+        // that worker's buffers empty.
+        let idle = parparaw_parallel::grid::partition(num_chunks(input.len(), 3), 4)[2].clone();
+        assert!(idle.start * 3 >= 11 && idle.end * 3 <= 22);
+        for skip_records in [&[][..], &[1, 2][..]] {
+            for mode in [
+                TaggingMode::RecordTagged,
+                TaggingMode::InlineTerminated { terminator: 0 },
+                TaggingMode::VectorDelimited,
+            ] {
+                let tag = |chunk_size: usize, workers: usize| {
+                    let (exec, meta) = run_meta(input, chunk_size, workers);
+                    let cfg = TagConfig {
+                        mode,
+                        col_map: &col_map,
+                        skip_records,
+                        expected_columns: None,
+                        num_out_rows: meta.num_records - skip_records.len() as u64,
+                        diags: None,
+                    };
+                    let t = tag_symbols(&exec, input, chunk_size, &meta, &cfg).unwrap();
+                    // One walk over the input and its bitmaps, writing one
+                    // byte per symbol plus the runs, at every worker count.
+                    let log = exec.drain_log();
+                    let launch = log.iter().find(|r| r.label == "tag").unwrap();
+                    let n = input.len() as u64;
+                    assert_eq!(launch.kernel_launches, 1);
+                    assert_eq!(launch.bytes_read, n + n / 2);
+                    assert_eq!(
+                        launch.bytes_written,
+                        t.symbols.len() as u64 + RUN_BYTES * t.runs.len() as u64,
+                        "{}",
+                        mode.name()
+                    );
+                    t
                 };
-                let t = tag_symbols(&exec, input, chunk_size, &meta, &cfg).unwrap();
-                // The tag launch writes one byte per symbol plus the runs.
-                let launch = exec.drain_log().into_iter().find(|r| r.label == "tag");
-                assert_eq!(
-                    launch.unwrap().bytes_written,
-                    t.symbols.len() as u64 + RUN_BYTES * t.runs.len() as u64,
-                    "{}",
-                    mode.name()
-                );
-                t
-            };
-            let reference = tag(6, 1);
-            for chunk_size in [1usize, 3, 10, 31, 200] {
-                for workers in [1usize, 4] {
-                    let t = tag(chunk_size, workers);
-                    let what = format!("{} cs={chunk_size} w={workers}", mode.name());
-                    assert_eq!(t.symbols, reference.symbols, "{what}");
-                    assert_eq!(symbol_tags(&t), symbol_tags(&reference), "{what}");
+                let reference = tag(6, 1);
+                for chunk_size in [1usize, 3, 10, 31, 200] {
+                    // Runs split at chunk boundaries, so they are compared
+                    // raw across workers and expanded across chunk sizes.
+                    let single = tag(chunk_size, 1);
+                    let what = format!("{} cs={chunk_size} skip={skip_records:?}", mode.name());
+                    assert_eq!(single.symbols, reference.symbols, "{what}");
+                    assert_eq!(symbol_tags(&single), symbol_tags(&reference), "{what}");
+                    for workers in 2..=4 {
+                        let t = tag(chunk_size, workers);
+                        assert_eq!(t.symbols, single.symbols, "{what} w={workers}");
+                        assert_eq!(t.runs, single.runs, "{what} w={workers}");
+                    }
                 }
             }
         }

@@ -13,7 +13,7 @@ pub struct PhaseTimings {
     pub parse: Duration,
     /// All prefix scans (context vectors, record/column offsets).
     pub scan: Duration,
-    /// Symbol tagging (both compaction passes).
+    /// Symbol tagging (one walk over the input).
     pub tag: Duration,
     /// Partitioning by column (field-run scatter by default, or the
     /// paper's radix sort; see [`crate::options::PartitionKernel`]).

@@ -144,13 +144,19 @@ fn stall_timeout_degrade_and_resume_is_byte_identical() {
         assert!(faulty.budget_degradations() > 0, "tagging {tagging:?}");
 
         // Same gauntlet, now also cancelled mid-stream; the checkpoint
-        // resumes it (without the fired token).
+        // resumes it (without the fired token). The degraded stream makes
+        // about a dozen launches per partition, so the 20th lands in the
+        // second partition whether or not a stall forced a retry.
         let mut oc = o.clone();
-        oc.cancel = Some(CancelToken::after_launches(40));
+        oc.cancel = Some(CancelToken::after_launches(20));
         let interrupted = Parser::new(dfa.clone(), oc)
             .parse_stream_resumable(&input, 16 * 1024, None)
             .unwrap_err();
         assert!(interrupted.error.is_cancelled(), "tagging {tagging:?}");
+        assert!(
+            interrupted.checkpoint.resume_offset > 0,
+            "tagging {tagging:?}: the first partition completes before the cancel"
+        );
         let resumed = Parser::new(dfa.clone(), o)
             .parse_stream_resumable(&input, 16 * 1024, Some(interrupted.checkpoint))
             .unwrap();
