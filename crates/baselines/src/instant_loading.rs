@@ -24,7 +24,6 @@ use parparaw_core::infer::infer_column_type;
 use parparaw_core::ParseError;
 use parparaw_device::WorkProfile;
 use parparaw_dfa::Dfa;
-use parparaw_parallel::grid::SlotWriter;
 use parparaw_parallel::{Bitmap, Grid};
 use std::time::{Duration, Instant};
 
@@ -64,6 +63,7 @@ pub struct InstantLoadingOutput {
     pub profile: WorkProfile,
 }
 
+#[derive(Clone)]
 struct RecordBuf {
     fields: Vec<Option<Vec<u8>>>,
     rejected: bool,
@@ -142,26 +142,19 @@ impl InstantLoadingParser {
 
         // Each thread parses records from its start to the first record
         // boundary past its chunk end (sequential DFA within the chunk).
-        let mut per_chunk: Vec<Vec<RecordBuf>> = Vec::new();
-        per_chunk.resize_with(bounds.len(), Vec::new);
-        {
-            let pw = SlotWriter::new(&mut per_chunk);
-            self.grid.run_partitioned(bounds.len(), |_, range| {
-                for c in range {
-                    let mut records = Vec::new();
-                    if let Some(start) = starts[c] {
-                        // Skip chunks whose speculative start duplicates a
-                        // predecessor's overrun region: a chunk only owns
-                        // records beginning inside [start, chunk_end).
-                        let chunk_end = bounds[c].end;
-                        if start < chunk_end || c == 0 {
-                            parse_records(dfa, input, start, chunk_end, &mut records);
-                        }
-                    }
-                    unsafe { pw.write(c, records) };
+        let per_chunk: Vec<Vec<RecordBuf>> = self.grid.map_indexed(bounds.len(), |c| {
+            let mut records = Vec::new();
+            if let Some(start) = starts[c] {
+                // Skip chunks whose speculative start duplicates a
+                // predecessor's overrun region: a chunk only owns
+                // records beginning inside [start, chunk_end).
+                let chunk_end = bounds[c].end;
+                if start < chunk_end || c == 0 {
+                    parse_records(dfa, input, start, chunk_end, &mut records);
                 }
-            });
-        }
+            }
+            records
+        });
         let records: Vec<RecordBuf> = per_chunk.into_iter().flatten().collect();
 
         // Column-wise conversion, same shared kernels as everyone else.

@@ -675,12 +675,11 @@ fn convert_utf8(
     let mut valid = vec![0u8; num_rows];
 
     // Scatter pass: thread-exclusive for ordinary fields, deferred for
-    // giants.
-    let mut giants: Vec<usize> = Vec::new();
+    // giants, whose rows each worker collects in order.
     {
         let vw = SlotWriter::new(&mut values);
         let aw = SlotWriter::new(&mut valid);
-        let giant_list = parking_lot_free_collect(grid, num_rows, |row| {
+        let scatter_row = |row: usize| -> Option<usize> {
             let dst = offsets[row] as usize;
             if rejected.get(row) {
                 return None;
@@ -722,8 +721,16 @@ fn convert_utf8(
                     None
                 }
             }
-        });
-        giants.extend(giant_list);
+        };
+        let giants: Vec<usize> = grid
+            .map_partitioned(num_rows, |_, rows| {
+                rows.filter_map(|row| {
+                    grid.check_abort(row);
+                    scatter_row(row)
+                })
+                .collect::<Vec<_>>()
+            })
+            .concat();
 
         // Split the deferred fields into the two cooperative tiers.
         let (block_rows, device_rows): (Vec<usize>, Vec<usize>) =
@@ -766,30 +773,6 @@ fn convert_utf8(
     let validity = validity_from_flags(&valid);
     Column::new(ColumnData::Utf8 { offsets, values }, Some(validity))
         .expect("offsets built from scan are monotonic")
-}
-
-/// Run `f(i)` for each index, collecting the `Some` results. Results are
-/// gathered per worker then concatenated in worker order (deterministic).
-fn parking_lot_free_collect<F>(grid: &Grid, n: usize, f: F) -> Vec<usize>
-where
-    F: Fn(usize) -> Option<usize> + Sync,
-{
-    let parts = grid.partition(n);
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts.len()];
-    {
-        let bw = SlotWriter::new(&mut buckets);
-        grid.run_partitioned(n, |w, range| {
-            let mut local = Vec::new();
-            for i in range {
-                grid.check_abort(i);
-                if let Some(x) = f(i) {
-                    local.push(x);
-                }
-            }
-            unsafe { bw.write(w, local) };
-        });
-    }
-    buckets.concat()
 }
 
 fn default_i64(default: Option<&Value>) -> i64 {

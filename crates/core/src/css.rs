@@ -19,9 +19,7 @@
 //! its index from them with [`index_from_runs`].
 
 use crate::tagging::FieldRun;
-use parparaw_parallel::grid::SlotWriter;
 use parparaw_parallel::rle::run_length_encode;
-use parparaw_parallel::scan;
 use parparaw_parallel::Grid;
 
 /// Locations of a column's fields inside its CSS.
@@ -115,43 +113,34 @@ fn index_from_marks<F>(grid: &Grid, n: usize, is_mark: F) -> FieldIndex
 where
     F: Fn(usize) -> bool + Sync,
 {
-    // Locate the marks: count, scan, scatter — the same compaction shape
-    // as everywhere else in the pipeline.
-    let flags: Vec<u64> = grid.map_indexed(n, |i| u64::from(is_mark(i)));
-    let (slots, num_marks) = scan::exclusive_scan_total(grid, &flags, &scan::AddOp);
-    let num_marks = num_marks as usize;
-    let mut marks = vec![0u64; num_marks];
-    {
-        let mw = SlotWriter::new(&mut marks);
-        grid.run_partitioned(n, |_, range| {
+    // Locate the marks in one walk: each worker appends the marks of its
+    // range, and the lists join in worker order.
+    let marks: Vec<u64> = grid
+        .map_partitioned(n, |_, range| {
+            let mut marks = Vec::new();
             for i in range {
                 grid.check_abort(i);
-                if flags[i] == 1 {
-                    unsafe { mw.write(slots[i] as usize, i as u64) };
+                if is_mark(i) {
+                    marks.push(i as u64);
                 }
             }
-        });
-    }
+            marks
+        })
+        .concat();
 
     // Field k ends at marks[k]; it starts one past marks[k-1]. A tail
     // after the last mark (or a non-empty CSS with no marks) is a final
     // unterminated field.
-    let trailing = n > 0 && (num_marks == 0 || (marks[num_marks - 1] as usize) < n - 1);
-    let num_fields = num_marks + usize::from(trailing);
-
-    let starts: Vec<u64> =
-        grid.map_indexed(num_fields, |k| if k == 0 { 0 } else { marks[k - 1] + 1 });
-    let ends: Vec<u64> =
-        grid.map_indexed(
-            num_fields,
-            |k| {
-                if k < num_marks {
-                    marks[k]
-                } else {
-                    n as u64
-                }
-            },
-        );
+    let trailing = n > 0 && marks.last() != Some(&(n as u64 - 1));
+    let mut starts: Vec<u64> = std::iter::once(0)
+        .chain(marks.iter().map(|m| m + 1))
+        .collect();
+    let mut ends = marks;
+    if trailing {
+        ends.push(n as u64);
+    }
+    let num_fields = ends.len();
+    starts.truncate(num_fields);
 
     FieldIndex {
         rows: (0..num_fields as u32).collect(),

@@ -13,14 +13,13 @@
 //! [`utf16_to_utf8`] applies exactly that rule to transcode in parallel:
 //! each chunk of code units skips a leading low surrogate, consumes a
 //! trailing high surrogate's partner from the next chunk, and emits UTF-8
-//! independently; the usual count → scan → scatter compaction assembles
-//! the output. Invalid sequences (lone surrogates) become U+FFFD, matching
+//! independently. Each worker walks its contiguous run of chunks once,
+//! appending UTF-8 to its own buffer, and the buffers join in worker
+//! order. Invalid sequences (lone surrogates) become U+FFFD, matching
 //! `String::from_utf16_lossy`.
 
 use crate::chunks::{utf16_is_high_surrogate, utf16_is_low_surrogate};
 use parparaw_device::WorkProfile;
-use parparaw_parallel::grid::SlotWriter;
-use parparaw_parallel::scan;
 use parparaw_parallel::Grid;
 
 /// Byte order of the UTF-16 input.
@@ -50,17 +49,6 @@ fn unit(input: &[u8], i: usize, endian: Endianness) -> u16 {
     match endian {
         Endianness::Little => u16::from_le_bytes([a, b]),
         Endianness::Big => u16::from_be_bytes([a, b]),
-    }
-}
-
-/// UTF-8 length of one scalar value.
-#[inline]
-fn utf8_len(cp: u32) -> usize {
-    match cp {
-        0..=0x7F => 1,
-        0x80..=0x7FF => 2,
-        0x800..=0xFFFF => 3,
-        _ => 4,
     }
 }
 
@@ -97,13 +85,12 @@ pub fn utf16_to_utf8(
     let n_chunks = n_units.div_ceil(units_per_chunk);
     let had_replacements = std::sync::atomic::AtomicBool::new(false);
 
-    // Walk one chunk, invoking `emit(code_point)` for each symbol the
-    // chunk owns. A symbol belongs to the chunk holding its *leading*
-    // unit; a chunk starting with a low surrogate skips it (§4.2).
-    let walk = |c: usize, mut emit: Option<(&SlotWriter<u8>, usize)>| -> u64 {
+    // Walk one chunk, appending the UTF-8 of each symbol the chunk owns.
+    // A symbol belongs to the chunk holding its *leading* unit; a chunk
+    // starting with a low surrogate skips it (§4.2).
+    let walk = |c: usize, out: &mut Vec<u8>| {
         let start = c * units_per_chunk;
         let end = ((c + 1) * units_per_chunk).min(n_units);
-        let mut bytes = 0u64;
         let mut i = start;
         // Skip a leading low surrogate only when it really is the trailing
         // half of the predecessor's symbol; a lone low surrogate at a
@@ -142,48 +129,32 @@ pub fn utf16_to_utf8(
             };
             let mut buf = [0u8; 4];
             let len = encode_utf8(cp, &mut buf);
-            if let Some((w, base)) = emit.as_mut() {
-                for (k, &b) in buf[..len].iter().enumerate() {
-                    unsafe { w.write(*base + bytes as usize + k, b) };
-                }
-            }
-            bytes += len as u64;
+            out.extend_from_slice(&buf[..len]);
             i += 1;
         }
-        let _ = utf8_len; // length computed via encode for exactness
-        bytes
     };
 
-    // Pass A: output bytes per chunk; scan; pass B: scatter.
-    let counts: Vec<u64> = grid.map_indexed(n_chunks, |c| walk(c, None));
-    let (offsets, mut total) = scan::exclusive_scan_total(grid, &counts, &scan::AddOp);
+    let mut bytes = grid
+        .map_partitioned(n_chunks, |_, chunks| {
+            let mut out = Vec::new();
+            for c in chunks {
+                grid.check_abort(c);
+                walk(c, &mut out);
+            }
+            out
+        })
+        .concat();
     if odd_tail {
-        total += 3; // one U+FFFD for the dangling byte
-    }
-    let mut bytes = vec![0u8; total as usize];
-    {
-        let w = SlotWriter::new(&mut bytes);
-        grid.run_partitioned(n_chunks, |_, range| {
-            for c in range {
-                walk(c, Some((&w, offsets[c] as usize)));
-            }
-        });
-        if odd_tail {
-            let mut buf = [0u8; 4];
-            let len = encode_utf8(0xFFFD, &mut buf);
-            for (k, &b) in buf[..len].iter().enumerate() {
-                unsafe { w.write((total as usize) - 3 + k, b) };
-            }
-            debug_assert_eq!(len, 3);
-            had_replacements.store(true, std::sync::atomic::Ordering::Relaxed);
-        }
+        // One U+FFFD for the dangling byte.
+        bytes.extend_from_slice("\u{FFFD}".as_bytes());
+        had_replacements.store(true, std::sync::atomic::Ordering::Relaxed);
     }
 
     let mut profile = WorkProfile::new("parse/transcode-utf16");
-    profile.kernel_launches = 3;
-    profile.bytes_read = input.len() as u64 * 2;
-    profile.bytes_written = total;
-    profile.parallel_ops = n_units as u64 * 2;
+    profile.kernel_launches = 1;
+    profile.bytes_read = input.len() as u64;
+    profile.bytes_written = bytes.len() as u64;
+    profile.parallel_ops = n_units as u64;
 
     Transcoded {
         bytes,
@@ -322,7 +293,7 @@ mod tests {
                 }
             });
             let chunk = rng.next_range(2, 16) as usize;
-            let workers = rng.next_range(1, 3) as usize;
+            let workers = rng.next_range(1, 4) as usize;
             let raw: Vec<u8> = units.iter().flat_map(|u| u.to_le_bytes()).collect();
             let grid = Grid::new(workers);
             let out = utf16_to_utf8(&grid, &raw, Endianness::Little, chunk);

@@ -94,8 +94,6 @@ pub struct MetaPass {
     pub control: Bitmap,
     /// Bitmap of positions whose transition was invalid.
     pub rejects: Bitmap,
-    /// Per-chunk metadata.
-    pub chunk_meta: Vec<ChunkMeta>,
     /// Per-chunk absolute starting record index.
     pub record_offsets: Vec<u64>,
     /// Per-chunk absolute starting column index.
@@ -335,7 +333,6 @@ pub fn identify_columns_and_records(
         fields,
         control,
         rejects,
-        chunk_meta,
         record_offsets,
         col_offsets,
         total_record_delims,

@@ -101,32 +101,27 @@ fn partition_run_scatter(
     let num_columns = num_columns.max(1);
     let num_runs = tagged.runs.len();
 
-    // `launch_once` because the scatter consumes the tagged buffers;
-    // injected faults (which fire before the job body runs) still retry.
-    exec.launch_once("partition", n, |grid, counters| {
+    // The job only borrows the tagged buffers, so an attempt that times
+    // out or fails part-way retries in place instead of forcing the
+    // caller to relaunch the partition.
+    let out = exec.launch("partition", n, |grid, counters| {
         let arena = exec.arena();
         let in_runs = &tagged.runs;
 
         // (1) Per-worker local histograms over the runs: run count and
         // symbol count per column.
-        let parts = grid.partition(num_runs);
-        let num_workers = parts.len().max(1);
-        let mut locals: Vec<(Vec<u64>, Vec<u64>)> =
-            vec![(vec![0u64; num_columns], vec![0u64; num_columns]); num_workers];
-        {
-            let lw = SlotWriter::new(&mut locals);
-            grid.run_partitioned(num_runs, |w, range| {
-                let mut run_hist = vec![0u64; num_columns];
-                let mut sym_hist = vec![0u64; num_columns];
-                for i in range {
-                    grid.check_abort(i);
-                    let r = &in_runs[i];
-                    run_hist[r.col as usize] += 1;
-                    sym_hist[r.col as usize] += r.len;
-                }
-                unsafe { lw.write(w, (run_hist, sym_hist)) };
-            });
-        }
+        let locals: Vec<(Vec<u64>, Vec<u64>)> = grid.map_partitioned(num_runs, |_, range| {
+            let mut run_hist = vec![0u64; num_columns];
+            let mut sym_hist = vec![0u64; num_columns];
+            for i in range {
+                grid.check_abort(i);
+                let r = &in_runs[i];
+                run_hist[r.col as usize] += 1;
+                sym_hist[r.col as usize] += r.len;
+            }
+            (run_hist, sym_hist)
+        });
+        let num_workers = locals.len();
 
         // (2) Exclusive prefix sums in column-major, worker-minor order:
         // per-(worker, column) write cursors for both the symbol and the
@@ -173,6 +168,10 @@ fn partition_run_scatter(
                     let (src, len) = (r.start as usize, r.len as usize);
                     let dst = sym_cur[c] as usize;
                     sym_cur[c] += r.len;
+                    // SAFETY: the column-major, worker-minor cursors give
+                    // every (worker, column) pair a disjoint slot range
+                    // sized by its histogram, within `n` symbols and
+                    // `num_runs` runs.
                     unsafe {
                         sym_w.write_slice(dst, &in_syms[src..src + len]);
                         run_w.write(
@@ -187,10 +186,6 @@ fn partition_run_scatter(
                 }
             });
         }
-
-        // Return the consumed tag buffers to the arena.
-        arena.put_u8("tag/symbols", tagged.symbols);
-        arena.put_vec("tag/runs", tagged.runs);
 
         // Work counters — everything the kernel actually touches,
         // including the histogram and prefix-scan work. Per symbol: the
@@ -213,7 +208,13 @@ fn partition_run_scatter(
                 col_starts: col_run_starts,
             }),
         }
-    })
+    })?;
+
+    // Return the consumed tag buffers to the arena.
+    let arena = exec.arena();
+    arena.put_u8("tag/symbols", tagged.symbols);
+    arena.put_vec("tag/runs", tagged.runs);
+    Ok(out)
 }
 
 /// The paper's original stable LSD radix sort on per-symbol column tags.

@@ -10,13 +10,13 @@
 //! A *row* is bounded by raw newline bytes, independent of any quoting
 //! context — that is exactly why skipping must happen **before** parsing:
 //! removing a row can close or open an enclosure for everything after it.
-//! The prepass is data-parallel: a per-chunk newline count, a prefix sum
-//! to assign every byte its row index, and the usual count → scan →
-//! scatter compaction to produce the pruned buffer.
+//! The prepass is data-parallel and walks the input twice: each worker
+//! counts the newlines in its contiguous range, a running sum over those
+//! per-worker counts gives each range its first row index, and each
+//! worker then appends the bytes of its kept rows to its own buffer. The
+//! buffers join in worker order.
 
 use crate::chunks::{chunk_ranges, num_chunks};
-use parparaw_parallel::grid::SlotWriter;
-use parparaw_parallel::scan;
 use parparaw_parallel::{KernelExecutor, LaunchError};
 
 /// The pruned input plus accounting.
@@ -46,60 +46,52 @@ pub fn prune_rows(
     let ranges: Vec<std::ops::Range<usize>> = chunk_ranges(n, chunk_size).collect();
 
     exec.launch("parse/prune-rows", n_chunks, |grid, counters| {
-        // Per-chunk newline counts → per-chunk starting row index.
-        let counts: Vec<u64> = grid.map_indexed(n_chunks, |c| {
-            input[ranges[c].clone()]
-                .iter()
-                .filter(|&&b| b == b'\n')
-                .count() as u64
+        // Newlines per worker range → each range's first row index.
+        let counts: Vec<u64> = grid.map_partitioned(n_chunks, |_, chunks| {
+            chunks
+                .map(|c| {
+                    grid.check_abort(c);
+                    input[ranges[c].clone()]
+                        .iter()
+                        .filter(|&&b| b == b'\n')
+                        .count() as u64
+                })
+                .sum()
         });
-        let (row_offsets, total_newlines) = scan::exclusive_scan_total(grid, &counts, &scan::AddOp);
+        let mut first_rows = Vec::with_capacity(counts.len());
+        let mut total_newlines = 0u64;
+        for count in counts {
+            first_rows.push(total_newlines);
+            total_newlines += count;
+        }
         let total_rows = total_newlines + u64::from(n > 0 && input.last() != Some(&b'\n'));
 
         let is_skipped = |row: u64| skip.binary_search(&row).is_ok();
 
-        // Pass A: bytes kept per chunk.
-        let kept_counts: Vec<u64> = grid.map_indexed(n_chunks, |c| {
-            let mut row = row_offsets[c];
-            let mut kept = 0u64;
-            for &b in &input[ranges[c].clone()] {
-                if !is_skipped(row) {
-                    kept += 1;
-                }
-                if b == b'\n' {
-                    row += 1;
-                }
-            }
-            kept
-        });
-        let (write_offsets, total_kept) =
-            scan::exclusive_scan_total(grid, &kept_counts, &scan::AddOp);
-
-        // Pass B: scatter kept bytes.
-        let mut bytes = vec![0u8; total_kept as usize];
-        {
-            let bw = SlotWriter::new(&mut bytes);
-            grid.run_partitioned(n_chunks, |_, chunks| {
+        // Append the kept bytes of each worker's range.
+        let bytes = grid
+            .map_partitioned(n_chunks, |w, chunks| {
+                let mut row = first_rows[w];
+                let mut kept = Vec::new();
                 for c in chunks {
-                    let mut row = row_offsets[c];
-                    let mut dst = write_offsets[c] as usize;
+                    grid.check_abort(c);
                     for &b in &input[ranges[c].clone()] {
                         if !is_skipped(row) {
-                            unsafe { bw.write(dst, b) };
-                            dst += 1;
+                            kept.push(b);
                         }
                         if b == b'\n' {
                             row += 1;
                         }
                     }
                 }
-            });
-        }
+                kept
+            })
+            .concat();
 
         let skipped_rows = skip.iter().filter(|&&r| r < total_rows).count() as u64;
-        counters.kernel_launches = 3;
+        counters.kernel_launches = 2;
         counters.bytes_read = n as u64 * 2;
-        counters.bytes_written = total_kept;
+        counters.bytes_written = bytes.len() as u64;
         counters.parallel_ops = n as u64 * 2;
 
         PrunedRows {

@@ -236,12 +236,11 @@ pub fn tag_symbols(
 
     let (symbols, runs) = exec.launch("tag", n_chunks, |grid, counters| {
         let arena = exec.arena();
-        let parts = grid.partition(n_chunks);
         let mut outs = grid
-            .map_indexed(parts.len(), |w| {
+            .map_partitioned(n_chunks, |_, chunks| {
                 let mut symbols = arena.take_u8("tag/symbols");
                 let mut runs = arena.take_vec::<FieldRun>("tag/runs");
-                for c in parts[w].clone() {
+                for c in chunks {
                     grid.check_abort(c);
                     walk(c, &mut symbols, &mut runs);
                 }

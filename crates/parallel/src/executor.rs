@@ -263,7 +263,7 @@ impl FaultInjector {
 /// turns them into a [`LaunchRecord`].
 ///
 /// `kernel_launches` starts at 1 (one launch per `launch()` call); jobs
-/// that model multi-kernel phases (e.g. count → scan → scatter) bump it.
+/// that model multi-kernel phases (e.g. histogram → scan → scatter) bump it.
 #[derive(Debug, Clone)]
 pub struct LaunchCounters {
     /// Number of simulated GPU kernel launches this job stands for.
@@ -585,13 +585,24 @@ impl KernelExecutor {
                     .arm(Arc::clone(signal), attempt_start + deadline);
             }
             // An injected stall sleeps *inside* the armed window, so a
-            // configured deadline sees it as a hung kernel.
+            // configured deadline sees it as a hung kernel, even before the
+            // watchdog thread wakes up.
             if let Some(d) = stall {
                 std::thread::sleep(d);
+                if let (Some(deadline), Some(signal)) = (self.deadline, &signal) {
+                    if attempt_start.elapsed() >= deadline {
+                        signal.expire();
+                    }
+                }
             }
             let mut counters = LaunchCounters::default();
             grid.clear_last_panic();
-            let attempt = catch_unwind(AssertUnwindSafe(|| job(grid, &mut counters)));
+            // Poll before the job body, so an expired stall leaves even a
+            // `launch_once` job unconsumed for the retry.
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                grid.check_abort(0);
+                job(grid, &mut counters)
+            }));
             if let Some(dog) = self.watchdog.get() {
                 dog.disarm();
             }
@@ -1103,6 +1114,22 @@ mod tests {
             .launch_once("test/once", 1, move |_, _| moved.into_iter().sum::<u32>())
             .unwrap();
         assert_eq!(got, 6);
+
+        // So do stalls that outlast the deadline: the attempt times out
+        // before the job body runs, even when the body would poll.
+        let exec = KernelExecutor::new(Grid::new(1))
+            .with_retry(RetryPolicy::attempts(10))
+            .with_deadline(Duration::from_millis(5))
+            .with_stall_injection(7, 0.5, Duration::from_millis(20));
+        let moved = vec![1u32, 2, 3];
+        let got = exec
+            .launch_once("test/once-stall", 1, move |grid, _| {
+                grid.check_abort(0);
+                moved.into_iter().sum::<u32>()
+            })
+            .unwrap();
+        assert_eq!(got, 6);
+        assert!(exec.drain_log()[0].timed_out_attempts > 0);
 
         // A real panic consumes the closure: no second attempt happens.
         let exec = KernelExecutor::new(Grid::new(1)).with_retry(RetryPolicy::attempts(5));

@@ -104,8 +104,9 @@ impl Grid {
     /// token fired or the deadline expired. With no signal configured
     /// (the default) this is a single predictable branch. The grid's own
     /// loops ([`Grid::map_indexed`], [`Grid::run_dynamic`]) poll
-    /// automatically; kernels with hand-rolled `run_partitioned` loops
-    /// call it explicitly.
+    /// automatically; kernels that loop over a worker's range in
+    /// [`Grid::run_partitioned`] or [`Grid::map_partitioned`] call it
+    /// explicitly.
     #[inline]
     pub fn check_abort(&self, i: usize) {
         if let Some(signal) = &self.signal {
@@ -268,6 +269,24 @@ impl Grid {
         }
     }
 
+    /// Run `f(worker_id, range)` once per worker over the ranges of
+    /// [`Grid::partition`], as [`Grid::run_partitioned`] does, and return
+    /// the results in worker order — which is input order, since the
+    /// ranges are contiguous and ascending.
+    ///
+    /// This is the CPU shape of a per-worker partial or compaction: each
+    /// worker folds or appends over its own range into a value it owns,
+    /// and the caller joins the values in order. No count pass, scan or
+    /// scatter is needed to size a shared output.
+    pub fn map_partitioned<T, F>(&self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send + Default + Clone,
+        F: Fn(usize, Range<usize>) -> T + Sync,
+    {
+        let parts = self.partition(n);
+        self.map_indexed(parts.len(), |w| f(w, parts[w].clone()))
+    }
+
     /// Map every index `0..n` to a value, returning the results in index
     /// order. Each slot is written by exactly one worker, so the output is
     /// deterministic for any worker count.
@@ -342,14 +361,24 @@ pub fn partition(n: usize, k: usize) -> Vec<Range<usize>> {
 /// The grid guarantees each index is handed to exactly one worker, which is
 /// what makes the unsafe write sound. This mirrors how GPU kernels write to
 /// global memory: the launch geometry, not the type system, guarantees
-/// disjointness.
+/// disjointness. Debug builds check the contract: a second write to any
+/// slot panics with "slot i written twice", so an off-by-one in a scatter
+/// offset fails a test instead of racing silently.
 pub struct SlotWriter<'a, T> {
     ptr: *mut T,
     len: usize,
+    #[cfg(debug_assertions)]
+    written: Vec<std::sync::atomic::AtomicBool>,
     _marker: std::marker::PhantomData<&'a mut [T]>,
 }
 
+// SAFETY: a `SlotWriter` is an exclusive borrow of `[T]` (held through the
+// marker) whose slots are handed to different threads, which may write and
+// drop `T` values; that needs only `T: Send`. Callers of the unsafe writes
+// guarantee no two threads touch the same slot. The debug shadow flags are
+// atomics and so are `Sync` themselves.
 unsafe impl<T: Send> Sync for SlotWriter<'_, T> {}
+// SAFETY: as above — moving the writer moves the exclusive borrow.
 unsafe impl<T: Send> Send for SlotWriter<'_, T> {}
 
 impl<'a, T> SlotWriter<'a, T> {
@@ -358,18 +387,24 @@ impl<'a, T> SlotWriter<'a, T> {
         SlotWriter {
             ptr: slice.as_mut_ptr(),
             len: slice.len(),
+            #[cfg(debug_assertions)]
+            written: (0..slice.len())
+                .map(|_| std::sync::atomic::AtomicBool::new(false))
+                .collect(),
             _marker: std::marker::PhantomData,
         }
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Record that slots `range` are being written, panicking if any of
+    /// them already was (debug builds only).
+    #[cfg(debug_assertions)]
+    fn claim(&self, range: Range<usize>) {
+        for i in range {
+            assert!(
+                !self.written[i].swap(true, Ordering::Relaxed),
+                "slot {i} written twice"
+            );
+        }
     }
 
     /// Write `value` into slot `i`, dropping the previous value (slots are
@@ -381,6 +416,8 @@ impl<'a, T> SlotWriter<'a, T> {
     /// slot concurrently.
     pub unsafe fn write(&self, i: usize, value: T) {
         debug_assert!(i < self.len);
+        #[cfg(debug_assertions)]
+        self.claim(i..i + 1);
         *self.ptr.add(i) = value;
     }
 
@@ -397,6 +434,8 @@ impl<'a, T> SlotWriter<'a, T> {
         T: Copy,
     {
         debug_assert!(dst + src.len() <= self.len);
+        #[cfg(debug_assertions)]
+        self.claim(dst..dst + src.len());
         std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(dst), src.len());
     }
 }
@@ -443,6 +482,33 @@ mod tests {
     }
 
     #[test]
+    fn map_partitioned_returns_worker_order() {
+        for workers in [1, 2, 3, 8] {
+            let grid = Grid::new(workers);
+            for n in [0usize, 1, 2, 5, 100] {
+                // `partition` covers `0..n` in order (tested above).
+                let got = grid.map_partitioned(n, |w, range| (w, range));
+                let want: Vec<_> = partition(n, workers).into_iter().enumerate().collect();
+                assert_eq!(got, want, "n={n} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "slot 3 written twice")]
+    fn slot_writer_rejects_a_second_write() {
+        let mut out = vec![0u32; 8];
+        let slots = SlotWriter::new(&mut out);
+        // SAFETY: single-threaded; index 3 is in bounds. The second write
+        // breaks the write-once contract on purpose.
+        unsafe {
+            slots.write_slice(2, &[1, 2]);
+            slots.write(3, 9);
+        }
+    }
+
+    #[test]
     fn both_modes_agree() {
         for mode in [LaunchMode::Persistent, LaunchMode::SpawnPerLaunch] {
             let grid = Grid::with_mode(4, mode);
@@ -473,6 +539,8 @@ mod tests {
             let slots = SlotWriter::new(&mut seen);
             grid.run_partitioned(1003, |_, range| {
                 for i in range {
+                    // SAFETY: `run_partitioned` hands out disjoint ranges
+                    // within `0..1003`.
                     unsafe { slots.write(i, true) };
                 }
             });

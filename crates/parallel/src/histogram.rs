@@ -5,34 +5,14 @@
 //! partition". The parallel shape is the classic one: per-worker local
 //! histograms merged at the end, avoiding atomic contention on the bins.
 
-use crate::grid::Grid;
+use crate::grid::{Grid, SlotWriter};
 
 /// Histogram of `keys` into `num_bins` bins. Keys `>= num_bins` are counted
 /// into the last bin (callers that need strictness should validate first).
 pub fn histogram(grid: &Grid, keys: &[u32], num_bins: usize) -> Vec<u64> {
-    let num_bins = num_bins.max(1);
-    histogram_by(grid, keys.len(), num_bins, |i| keys[i])
-}
-
-/// Histogram over an index-addressed key function; `num_bins` bins, keys
-/// clamped into range.
-pub fn histogram_by<F>(grid: &Grid, n: usize, num_bins: usize, key_of: F) -> Vec<u64>
-where
-    F: Fn(usize) -> u32 + Sync,
-{
-    let num_bins = num_bins.max(1);
-    if grid.workers() == 1 || n < 2 * grid.workers() {
-        let mut bins = vec![0u64; num_bins];
-        for i in 0..n {
-            let k = (key_of(i) as usize).min(num_bins - 1);
-            bins[k] += 1;
-        }
-        return bins;
-    }
-    let locals = local_histograms(grid, n, num_bins, &key_of);
-    let mut bins = vec![0u64; num_bins];
-    for local in &locals {
-        for (b, c) in bins.iter_mut().zip(local.iter()) {
+    let mut bins = vec![0u64; num_bins.max(1)];
+    for local in local_histograms(grid, keys.len(), num_bins, &|i| keys[i]) {
+        for (b, c) in bins.iter_mut().zip(local) {
             *b += c;
         }
     }
@@ -47,21 +27,14 @@ where
     F: Fn(usize) -> u32 + Sync,
 {
     let num_bins = num_bins.max(1);
-    let parts = grid.partition(n);
-    let mut locals: Vec<Vec<u64>> = vec![Vec::new(); parts.len()];
-    {
-        use crate::grid::SlotWriter;
-        let slots = SlotWriter::new(&mut locals);
-        grid.run_partitioned(n, |w, range| {
-            let mut bins = vec![0u64; num_bins];
-            for i in range {
-                let k = (key_of(i) as usize).min(num_bins - 1);
-                bins[k] += 1;
-            }
-            unsafe { slots.write(w, bins) };
-        });
-    }
-    locals
+    grid.map_partitioned(n, |_, range| {
+        let mut bins = vec![0u64; num_bins];
+        for i in range {
+            let k = (key_of(i) as usize).min(num_bins - 1);
+            bins[k] += 1;
+        }
+        bins
+    })
 }
 
 /// [`local_histograms`] that also records each index's (clamped) key into
@@ -81,23 +54,18 @@ where
 {
     let num_bins = num_bins.clamp(1, 1 << 16);
     assert_eq!(digits.len(), n, "one digit slot per item");
-    let parts = grid.partition(n);
-    let mut locals: Vec<Vec<u64>> = vec![Vec::new(); parts.len()];
-    {
-        use crate::grid::SlotWriter;
-        let slots = SlotWriter::new(&mut locals);
-        let dw = SlotWriter::new(digits);
-        grid.run_partitioned(n, |w, range| {
-            let mut bins = vec![0u64; num_bins];
-            for i in range {
-                let k = (key_of(i) as usize).min(num_bins - 1);
-                bins[k] += 1;
-                unsafe { dw.write(i, k as u16) };
-            }
-            unsafe { slots.write(w, bins) };
-        });
-    }
-    locals
+    let dw = SlotWriter::new(digits);
+    grid.map_partitioned(n, |_, range| {
+        let mut bins = vec![0u64; num_bins];
+        for i in range {
+            let k = (key_of(i) as usize).min(num_bins - 1);
+            bins[k] += 1;
+            // SAFETY: `map_partitioned` hands each worker a disjoint range
+            // of `0..n`, and `digits.len() == n` was asserted above.
+            unsafe { dw.write(i, k as u16) };
+        }
+        bins
+    })
 }
 
 #[cfg(test)]

@@ -39,6 +39,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bitmap;
 pub mod cancel;

@@ -99,9 +99,13 @@ fn scan_lookback<O: ScanOp>(
             agg = op.combine(&agg, x);
         }
         let desc = &descriptors[t];
+        // SAFETY: tile `t` is processed by exactly one worker, and readers
+        // touch `aggregate` only after observing status A or P, which is
+        // stored (release) after this write.
         unsafe { *desc.aggregate.get() = Some(agg.clone()) };
         if t == 0 {
             // Tile 0's aggregate *is* its inclusive prefix.
+            // SAFETY: as above, for `prefix` and status P.
             unsafe { *desc.prefix.get() = Some(agg.clone()) };
             desc.status.store(STATUS_P, Ordering::Release);
         } else {
@@ -124,6 +128,9 @@ fn scan_lookback<O: ScanOp>(
                     std::hint::spin_loop();
                 };
                 if status == STATUS_P {
+                    // SAFETY: status P was loaded with acquire, so the
+                    // owner's write of `prefix` happened before; it is
+                    // never written again.
                     let p = unsafe { (*d.prefix.get()).clone() }.expect("P implies prefix");
                     exclusive_prefix = match running {
                         Some(r) => op.combine(&p, &r),
@@ -133,6 +140,8 @@ fn scan_lookback<O: ScanOp>(
                 }
                 // STATUS_A: fold this aggregate in *front* of what we have
                 // accumulated so far (we are walking right-to-left).
+                // SAFETY: status A or P was loaded with acquire, so the
+                // owner's single write of `aggregate` happened before.
                 let a = unsafe { (*d.aggregate.get()).clone() }.expect("A implies aggregate");
                 running = Some(match running {
                     Some(r) => op.combine(&a, &r),
@@ -152,6 +161,8 @@ fn scan_lookback<O: ScanOp>(
         // 3. Publish our inclusive prefix (status P).
         let inclusive = op.combine(&exclusive_prefix, &agg);
         if t != 0 {
+            // SAFETY: only this tile's worker writes `prefix`; readers wait
+            // for status P, stored (release) after this write.
             unsafe { *desc.prefix.get() = Some(inclusive) };
             desc.status.store(STATUS_P, Ordering::Release);
         }
@@ -159,12 +170,14 @@ fn scan_lookback<O: ScanOp>(
         // 4. Final downsweep through the tile.
         let mut acc = exclusive_prefix;
         for (i, x) in tile.iter().enumerate() {
+            if !exclusive {
+                acc = op.combine(&acc, x);
+            }
+            // SAFETY: each tile is processed by one worker and tiles
+            // cover disjoint ranges of `0..n`; `out.len() == n`.
+            unsafe { slots.write(start + i, acc.clone()) };
             if exclusive {
-                unsafe { slots.write(start + i, acc.clone()) };
                 acc = op.combine(&acc, x);
-            } else {
-                acc = op.combine(&acc, x);
-                unsafe { slots.write(start + i, acc.clone()) };
             }
         }
     };

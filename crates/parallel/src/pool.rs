@@ -180,9 +180,9 @@ impl WorkerPool {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
 
-        // Erase the job's borrow lifetime; `dispatch` outlives every use
-        // of the pointer because it blocks below until all workers report
-        // completion.
+        // SAFETY: this erases only the job's borrow lifetime; `dispatch`
+        // outlives every use of the pointer because it blocks below until
+        // all workers report completion.
         let erased: *const Job =
             unsafe { std::mem::transmute(job as *const (dyn Fn(usize) + Sync + 'a)) };
         {

@@ -117,7 +117,7 @@ fn sort_core<V>(
 
     for pass in 0..passes {
         let shift = pass * digit_bits;
-        partition_pass_digits(
+        partition_pass(
             grid, keys, values, keys_out, values_out, shift, num_bins, digits,
         );
         std::mem::swap(keys, keys_out);
@@ -126,38 +126,10 @@ fn sort_core<V>(
 }
 
 /// One stable partitioning pass on digit `(key >> shift) & (num_bins-1)`.
-///
-/// This is also exposed on its own because the tagging pipeline uses a
-/// single partitioning pass directly when the column count fits one digit.
-pub fn partition_pass<V>(
-    grid: &Grid,
-    keys: &[u32],
-    values: &[V],
-    keys_out: &mut [u32],
-    values_out: &mut [V],
-    shift: u32,
-    num_bins: usize,
-) where
-    V: Clone + Send + Sync,
-{
-    let mut digits = vec![0u16; keys.len()];
-    partition_pass_digits(
-        grid,
-        keys,
-        values,
-        keys_out,
-        values_out,
-        shift,
-        num_bins,
-        &mut digits,
-    );
-}
-
-/// [`partition_pass`] with a caller-provided digit cache: the histogram
-/// pass stores each item's digit, the scatter pass reads it back, so the
-/// shift-and-mask runs once per item instead of twice.
+/// The histogram pass stores each item's digit in `digits` and the
+/// scatter pass reads it back, so the shift-and-mask runs once per item.
 #[allow(clippy::too_many_arguments)]
-fn partition_pass_digits<V>(
+fn partition_pass<V>(
     grid: &Grid,
     keys: &[u32],
     values: &[V],
@@ -204,6 +176,9 @@ fn partition_pass_digits<V>(
                 let d = digits[i] as usize;
                 let dst = cursors[d] as usize;
                 cursors[d] += 1;
+                // SAFETY: the digit-major, worker-minor starts give each
+                // (worker, digit) pair a disjoint slot range sized by its
+                // local histogram, so every `dst < n` is written once.
                 unsafe {
                     kw.write(dst, keys[i]);
                     vw.write(dst, values[i].clone());

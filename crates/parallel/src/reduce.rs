@@ -5,38 +5,12 @@
 //! count, and a reduction over per-field minimal numeric types yields a
 //! column's inferred type.
 
-use crate::grid::{Grid, SlotWriter};
+use crate::grid::Grid;
 use crate::scan::ScanOp;
 
 /// Reduce `items` under `op`, returning the identity for empty input.
 pub fn reduce<O: ScanOp>(grid: &Grid, items: &[O::Item], op: &O) -> O::Item {
-    if items.is_empty() {
-        return op.identity();
-    }
-    if grid.workers() == 1 || items.len() < 2 * grid.workers() {
-        let mut acc = op.identity();
-        for x in items {
-            acc = op.combine(&acc, x);
-        }
-        return acc;
-    }
-    let parts = grid.partition(items.len());
-    let mut partials = vec![op.identity(); parts.len()];
-    {
-        let slots = SlotWriter::new(&mut partials);
-        grid.run_partitioned(items.len(), |w, range| {
-            let mut acc = op.identity();
-            for x in &items[range] {
-                acc = op.combine(&acc, x);
-            }
-            unsafe { slots.write(w, acc) };
-        });
-    }
-    let mut acc = op.identity();
-    for p in &partials {
-        acc = op.combine(&acc, p);
-    }
-    acc
+    map_reduce(grid, items.len(), op, |i| items[i].clone())
 }
 
 /// Map each index to a value and reduce the results under `op` without
@@ -46,33 +20,14 @@ where
     O: ScanOp,
     F: Fn(usize) -> O::Item + Sync,
 {
-    if n == 0 {
-        return op.identity();
-    }
-    if grid.workers() == 1 {
-        let mut acc = op.identity();
-        for i in 0..n {
-            acc = op.combine(&acc, &f(i));
-        }
-        return acc;
-    }
-    let parts = grid.partition(n);
-    let mut partials = vec![op.identity(); parts.len()];
-    {
-        let slots = SlotWriter::new(&mut partials);
-        grid.run_partitioned(n, |w, range| {
-            let mut acc = op.identity();
-            for i in range {
-                acc = op.combine(&acc, &f(i));
-            }
-            unsafe { slots.write(w, acc) };
-        });
-    }
-    let mut acc = op.identity();
-    for p in &partials {
-        acc = op.combine(&acc, p);
-    }
-    acc
+    // Each worker folds its contiguous range; the partials combine left
+    // to right in worker order, so `op` need not commute.
+    grid.map_partitioned(n, |_, range| {
+        Some(range.fold(op.identity(), |acc, i| op.combine(&acc, &f(i))))
+    })
+    .into_iter()
+    .flatten()
+    .fold(op.identity(), |acc, p| op.combine(&acc, &p))
 }
 
 /// Minimum over `u8` with `u8::MAX` as identity; used for type inference.

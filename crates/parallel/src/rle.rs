@@ -2,12 +2,14 @@
 //!
 //! Paper §3.3: "To generate the index, the algorithm performs a run-length
 //! encoding on the symbols' record-tags, which yields each field's record
-//! and its number of symbols." The parallel formulation is head-flag based:
-//! mark run heads, prefix-sum the flags to get output slots, then scatter
-//! run values and compute run lengths from head positions.
+//! and its number of symbols." A run starts at every head, an index whose
+//! value differs from its predecessor's. Each worker walks its contiguous
+//! range once and appends the heads it finds to its own buffers; the
+//! buffers join in worker order. A head is judged against the previous
+//! item even across a worker boundary, so a run that continues into the
+//! next worker's range has no head there and merges at the join.
 
-use crate::grid::{Grid, SlotWriter};
-use crate::scan::{exclusive_scan_total, AddOp};
+use crate::grid::Grid;
 
 /// The result of run-length encoding a sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,52 +25,28 @@ pub struct RunLengths<T> {
 /// Run-length encode `items` in parallel.
 pub fn run_length_encode<T>(grid: &Grid, items: &[T]) -> RunLengths<T>
 where
-    T: Clone + Eq + Send + Sync + Default,
+    T: Clone + Eq + Send + Sync,
 {
     let n = items.len();
-    if n == 0 {
-        return RunLengths {
-            values: Vec::new(),
-            lengths: Vec::new(),
-            offsets: Vec::new(),
-        };
-    }
-
-    // 1. Head flags: 1 where a new run starts.
-    let flags: Vec<u64> = grid.map_indexed(n, |i| u64::from(i == 0 || items[i] != items[i - 1]));
-
-    // 2. Exclusive prefix sum of the flags gives each head its output slot.
-    let (slots_scan, num_runs) = exclusive_scan_total(grid, &flags, &AddOp);
-    let num_runs = num_runs as usize;
-
-    // 3. Scatter heads.
-    let mut values = vec![T::default(); num_runs];
-    let mut offsets = vec![0u64; num_runs];
-    {
-        let vw = SlotWriter::new(&mut values);
-        let ow = SlotWriter::new(&mut offsets);
-        grid.run_partitioned(n, |_, range| {
+    let (values, offsets): (Vec<Vec<T>>, Vec<Vec<u64>>) = grid
+        .map_partitioned(n, |_, range| {
+            let (mut values, mut offsets) = (Vec::new(), Vec::new());
             for i in range {
-                if flags[i] == 1 {
-                    let slot = slots_scan[i] as usize;
-                    unsafe {
-                        vw.write(slot, items[i].clone());
-                        ow.write(slot, i as u64);
-                    }
+                grid.check_abort(i);
+                if i == 0 || items[i] != items[i - 1] {
+                    values.push(items[i].clone());
+                    offsets.push(i as u64);
                 }
             }
-        });
-    }
+            (values, offsets)
+        })
+        .into_iter()
+        .unzip();
+    let (values, offsets) = (values.concat(), offsets.concat());
 
-    // 4. Lengths from adjacent offsets.
-    let lengths: Vec<u64> = grid.map_indexed(num_runs, |r| {
-        let end = if r + 1 < num_runs {
-            offsets[r + 1]
-        } else {
-            n as u64
-        };
-        end - offsets[r]
-    });
+    // Each run ends where the next starts; the last ends with the input.
+    let ends = offsets.iter().skip(1).copied().chain([n as u64]);
+    let lengths = offsets.iter().zip(ends).map(|(s, e)| e - s).collect();
 
     RunLengths {
         values,
@@ -126,10 +104,17 @@ mod tests {
     #[test]
     fn matches_sequential() {
         let mut rng = SplitMix64::new(0x41e);
-        for case in 0..64 {
-            let len = rng.next_below(400) as usize;
-            let xs = rng.vec(len, |r| r.next_below(5) as u32);
-            let workers = rng.next_range(1, 5) as usize;
+        // The last input is one constant run spanning every worker, so the
+        // join must carry it through whole middle workers.
+        for case in 0..65 {
+            let (xs, workers) = if case == 64 {
+                (vec![3u32; 400], 4)
+            } else {
+                let len = rng.next_below(400) as usize;
+                let xs = rng.vec(len, |r| r.next_below(5) as u32);
+                (xs, rng.next_range(1, 5) as usize)
+            };
+            let len = xs.len();
             let grid = Grid::new(workers);
             let got = run_length_encode(&grid, &xs);
             let (v, l, o) = rle_seq(&xs);

@@ -109,17 +109,6 @@ pub fn exclusive_scan_seq<O: ScanOp>(items: &[O::Item], op: &O) -> Vec<O::Item> 
     out
 }
 
-/// Sequential exclusive scan that also returns the total reduction.
-pub fn exclusive_scan_seq_total<O: ScanOp>(items: &[O::Item], op: &O) -> (Vec<O::Item>, O::Item) {
-    let mut out = Vec::with_capacity(items.len());
-    let mut acc = op.identity();
-    for x in items {
-        out.push(acc.clone());
-        acc = op.combine(&acc, x);
-    }
-    (out, acc)
-}
-
 /// Blocked three-phase parallel inclusive scan.
 ///
 /// Phase 1: each worker reduces its contiguous tile. Phase 2: the per-tile
@@ -172,23 +161,20 @@ fn scan_blocked<O: ScanOp>(
         };
     }
 
-    let parts = grid.partition(n);
-    let k = parts.len();
-
     // Phase 1: tile aggregates.
-    let mut aggregates = vec![op.identity(); k];
-    {
-        let slots = SlotWriter::new(&mut aggregates);
-        grid.run_partitioned(n, |w, range| {
-            let mut acc = op.identity();
-            for x in &items[range] {
-                acc = op.combine(&acc, x);
-            }
-            unsafe { slots.write(w, acc) };
-        });
-    }
+    let aggregates: Vec<O::Item> = grid
+        .map_partitioned(n, |_, range| {
+            Some(
+                items[range]
+                    .iter()
+                    .fold(op.identity(), |acc, x| op.combine(&acc, x)),
+            )
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
-    // Phase 2: exclusive scan of aggregates (k is tiny).
+    // Phase 2: exclusive scan of aggregates (one per worker).
     let prefixes = exclusive_scan_seq(&aggregates, op);
 
     // Phase 3: downsweep, seeded with each tile's prefix. Pre-filled with
@@ -200,12 +186,14 @@ fn scan_blocked<O: ScanOp>(
         grid.run_partitioned(n, |w, range| {
             let mut acc = prefixes[w].clone();
             for i in range {
+                if !exclusive {
+                    acc = op.combine(&acc, &items[i]);
+                }
+                // SAFETY: `run_partitioned` hands each worker a disjoint
+                // range of `0..n`, and `out.len() == n`.
+                unsafe { slots.write(i, acc.clone()) };
                 if exclusive {
-                    unsafe { slots.write(i, acc.clone()) };
                     acc = op.combine(&acc, &items[i]);
-                } else {
-                    acc = op.combine(&acc, &items[i]);
-                    unsafe { slots.write(i, acc.clone()) };
                 }
             }
         });

@@ -216,13 +216,20 @@ fn word_wise_pass2_matches_bit_reference() {
             "rejects, round {round}"
         );
 
-        // Per-chunk record counts agree with the reference bitmap.
-        for (c, m) in meta.chunk_meta.iter().enumerate() {
+        // Per-chunk record counts agree with the reference bitmap. The
+        // record offsets are their exclusive prefix sum.
+        let n_chunks = meta.record_offsets.len();
+        for c in 0..n_chunks {
             let lo = c * cs;
             let hi = (lo + cs).min(input.len());
-            let count = (lo..hi).filter(|&i| records.get(i)).count() as u32;
+            let count = (lo..hi).filter(|&i| records.get(i)).count() as u64;
+            let next = match meta.record_offsets.get(c + 1) {
+                Some(&next) => next,
+                None => meta.total_record_delims,
+            };
             assert_eq!(
-                m.record_count, count,
+                next - meta.record_offsets[c],
+                count,
                 "chunk {c} record count, round {round}"
             );
         }
