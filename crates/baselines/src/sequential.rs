@@ -9,8 +9,9 @@
 //! only come from the parallelisation strategy.
 
 use parparaw_columnar::{DataType, Field, Schema, Table};
-use parparaw_core::convert::convert_column;
+use parparaw_core::convert::convert_column_with_diags;
 use parparaw_core::css::FieldIndex;
+use parparaw_core::diag::{DiagSink, RecordDiagnostic, RejectReason};
 use parparaw_core::infer::infer_column_type;
 use parparaw_core::options::ParserOptions;
 use parparaw_core::ParseError;
@@ -26,6 +27,10 @@ pub struct SequentialOutput {
     pub table: Table,
     /// Per-row rejection flags.
     pub rejected: Bitmap,
+    /// Every diagnostic, uncapped, in the order and form
+    /// [`parparaw_core::ParseOutput::diagnostics`] uses: one per invalid
+    /// transition, column-count mismatch and failed conversion.
+    pub diagnostics: Vec<RecordDiagnostic>,
     /// Wall-clock time of the whole parse.
     pub wall: Duration,
     /// Work profile: everything is serial by definition.
@@ -44,14 +49,19 @@ pub struct SequentialParser {
 struct RecordBuf {
     /// Per-column field bytes; `None` = no data symbols seen.
     fields: Vec<Option<Vec<u8>>>,
-    rejected: bool,
+    /// `(raw column, byte offset)` of every invalid transition.
+    rejects: Vec<(usize, u64)>,
+    /// Byte offset of the closing record delimiter; `None` for an
+    /// undelimited trailing record.
+    end: Option<u64>,
 }
 
 impl SequentialParser {
     /// Build from a format automaton and (a subset of) parser options:
     /// `schema`, `infer_types`, `selected_columns`, `skip_records`, and
     /// `validate_column_count` are honoured; chunking and grid options are
-    /// meaningless for a sequential pass and ignored.
+    /// meaningless for a sequential pass and ignored, and so are `header`,
+    /// `skip_rows` and the error policy (diagnostics are never capped).
     pub fn new(dfa: Dfa, options: ParserOptions) -> Self {
         SequentialParser { dfa, options }
     }
@@ -68,15 +78,16 @@ impl SequentialParser {
         let mut cur_field: Option<Vec<u8>> = None;
         let mut saw_anything = false;
         let mut state = dfa.start_state();
-        for &b in input {
+        for (i, &b) in input.iter().enumerate() {
             let step = dfa.step(state, b);
             state = step.next;
             let e = step.emit;
             if e.is_reject() {
-                cur.rejected = true;
+                cur.rejects.push((cur.fields.len(), i as u64));
             }
             if e.is_record_delimiter() {
                 cur.fields.push(cur_field.take());
+                cur.end = Some(i as u64);
                 records.push(std::mem::take(&mut cur));
                 saw_anything = false;
             } else if e.is_field_delimiter() {
@@ -127,8 +138,31 @@ impl SequentialParser {
             .collect();
         let num_rows = kept.len();
         let mut rejected = Bitmap::new(num_rows);
+        let sink = DiagSink::new(usize::MAX);
+        let out_col = |raw: usize| selection.binary_search(&raw).ok().map(|c| c as u32);
         for (row, r) in kept.iter().enumerate() {
-            if r.rejected || (o.validate_column_count && r.fields.len() != num_raw_cols) {
+            for &(raw, offset) in &r.rejects {
+                sink.push(RecordDiagnostic {
+                    record: row as u64,
+                    column: out_col(raw),
+                    byte_offset: Some(offset),
+                    reason: RejectReason::InvalidSyntax,
+                });
+            }
+            let got = r.fields.len();
+            let miscounted = o.validate_column_count && got != num_raw_cols;
+            if miscounted {
+                sink.push(RecordDiagnostic {
+                    record: row as u64,
+                    column: None,
+                    byte_offset: r.end,
+                    reason: RejectReason::ColumnCountMismatch {
+                        expected: num_raw_cols as u32,
+                        got: got as u32,
+                    },
+                });
+            }
+            if miscounted || !r.rejects.is_empty() {
                 rejected.set(row);
             }
         }
@@ -138,7 +172,7 @@ impl SequentialParser {
         let grid = Grid::new(1);
         let mut columns = Vec::with_capacity(selection.len());
         let mut fields_meta = Vec::with_capacity(selection.len());
-        for &raw_c in &selection {
+        for (out_c, &raw_c) in selection.iter().enumerate() {
             // Build this column's CSS + index from the row buffers.
             let mut css = Vec::new();
             let mut index = FieldIndex::default();
@@ -161,7 +195,7 @@ impl SequentialParser {
                     Field::new(&format!("c{raw_c}"), dtype)
                 }
             };
-            let out = convert_column(
+            let out = convert_column_with_diags(
                 &grid,
                 &css,
                 &index,
@@ -170,6 +204,7 @@ impl SequentialParser {
                 field.default.as_ref(),
                 &rejected,
                 usize::MAX, // a sequential parser has no collaboration levels
+                Some((&sink, out_c as u32)),
             );
             columns.push(out.column);
             fields_meta.push(field);
@@ -190,6 +225,7 @@ impl SequentialParser {
         Ok(SequentialOutput {
             table,
             rejected,
+            diagnostics: sink.into_sorted(),
             wall: t0.elapsed(),
             profile,
         })
@@ -276,6 +312,8 @@ mod tests {
         let p = parse_csv(input, o).unwrap();
         assert_eq!(s.rejected, p.rejected);
         assert_eq!(s.table, p.table);
+        assert_eq!(s.diagnostics, p.diagnostics);
+        assert_eq!(s.diagnostics.len(), 2, "{:?}", s.diagnostics);
     }
 
     #[test]

@@ -501,6 +501,9 @@ fn convert_fixed(
                         }
                         let bytes = &css[index.field_range(k)];
                         if rejected.get(row) {
+                            // SAFETY: `row < num_rows` was checked above, and
+                            // `index` holds one field per row, so only field
+                            // `k`'s worker writes slot `row`.
                             unsafe { vw.write(row, 0) };
                             continue;
                         }
@@ -508,6 +511,9 @@ fn convert_fixed(
                             continue; // keep default / null
                         }
                         match $parse(bytes) {
+                            // SAFETY: `row < num_rows` was checked above, and
+                            // `index` holds one field per row, so only field
+                            // `k`'s worker writes slot `row`.
                             Some(v) => unsafe {
                                 bw.write(row, v);
                                 vw.write(row, 1);
@@ -524,6 +530,9 @@ fn convert_fixed(
                                         },
                                     });
                                 }
+                                // SAFETY: `row < num_rows` was checked above,
+                                // and `index` holds one field per row, so only
+                                // field `k`'s worker writes slot `row`.
                                 unsafe { vw.write(row, 0) };
                             }
                         }
@@ -640,6 +649,8 @@ fn convert_utf8(
                 grid.check_abort(k);
                 let row = index.rows[k] as usize;
                 if row < num_rows {
+                    // SAFETY: `row < num_rows`, and `index` holds one field per
+                    // row, so only field `k`'s worker writes slot `row`.
                     unsafe { fw.write(row, k as u32) };
                 }
             }
@@ -688,8 +699,14 @@ fn convert_utf8(
                 u32::MAX => {
                     if let Some(d) = default_str {
                         for (i, &b) in d.as_bytes().iter().enumerate() {
+                            // SAFETY: `dst + i` lies in row `row`'s range
+                            // `offsets[row]..offsets[row + 1]`, sized by
+                            // `lengths[row]`; only this row's worker writes it.
                             unsafe { vw.write(dst + i, b) };
                         }
+                        // SAFETY: `row < num_rows` comes from this worker's row
+                        // range, and each row is scattered by exactly one
+                        // worker.
                         unsafe { aw.write(row, 1) };
                     }
                     None
@@ -700,12 +717,21 @@ fn convert_utf8(
                         // Present but empty: default/NULL, like absent.
                         if let Some(d) = default_str {
                             for (i, &b) in d.as_bytes().iter().enumerate() {
+                                // SAFETY: `dst + i` lies in row `row`'s range
+                                // `offsets[row]..offsets[row + 1]`, sized by
+                                // `lengths[row]`; only this row's worker writes
+                                // it.
                                 unsafe { vw.write(dst + i, b) };
                             }
+                            // SAFETY: `row < num_rows` comes from this worker's
+                            // row range, and each row is scattered by exactly
+                            // one worker.
                             unsafe { aw.write(row, 1) };
                         }
                         return None;
                     }
+                    // SAFETY: `row < num_rows` comes from this worker's row
+                    // range, and each row is scattered by exactly one worker.
                     unsafe { aw.write(row, 1) };
                     if range.len() > thread_threshold {
                         // Defer: block-level if it fits a thread-block's
@@ -716,6 +742,9 @@ fn convert_utf8(
                         return Some(row);
                     }
                     for (i, &b) in css[range].iter().enumerate() {
+                        // SAFETY: `dst + i` lies in row `row`'s range
+                        // `offsets[row]..offsets[row + 1]`, sized by
+                        // `lengths[row]`; only this row's worker writes it.
                         unsafe { vw.write(dst + i, b) };
                     }
                     None
@@ -747,6 +776,9 @@ fn convert_utf8(
             let src = index.field_range(field_of_row[row] as usize);
             let dst0 = offsets[row] as usize;
             for (i, &b) in css[src].iter().enumerate() {
+                // SAFETY: `dst0 + i` lies in deferred row `row`'s value range,
+                // which the scatter pass skipped; `run_dynamic` hands each row
+                // to one worker.
                 unsafe { vw.write(dst0 + i, b) };
             }
         });
@@ -761,6 +793,9 @@ fn convert_utf8(
             let len = src.len();
             grid.run_partitioned(len, |_, r| {
                 for i in r {
+                    // SAFETY: `dst0 + i` lies in giant row `row`'s value range,
+                    // which no other pass writes; `run_partitioned` hands each
+                    // `i` to one worker.
                     unsafe { vw.write(dst0 + i, css[src_start + i]) };
                 }
             });

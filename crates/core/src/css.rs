@@ -15,8 +15,9 @@
 //!
 //! Those per-byte scans serve the radix-sort partition kernel, the only
 //! one that materialises record tags and flags. The default run-scatter
-//! kernel hands convert each column's field runs, and every mode builds
-//! its index from them with [`index_from_runs`].
+//! kernel hands convert each column's field runs, one per field, and every
+//! mode builds its index from them with [`index_from_runs`]: one index
+//! entry per run.
 
 use crate::tagging::FieldRun;
 use parparaw_parallel::rle::run_length_encode;
@@ -53,30 +54,25 @@ impl FieldIndex {
 /// Build the index directly from a column's field runs (the run-scatter
 /// partition kernel's output) — no per-byte scan over the CSS at all.
 ///
-/// Runs arrive in input order with CSS-relative, contiguous starts. A
-/// field split across chunk boundaries shows up as adjacent runs with the
-/// same row and touching offsets; those merge. A `closed` run ends with
-/// the field's terminator/delimiter symbol, which the field range
-/// excludes — exactly the semantics of [`index_inline`]/[`index_vector`].
-/// Record-tagged runs are never closed, matching [`index_record_tagged`].
+/// Runs arrive in input order with CSS-relative, contiguous starts, and
+/// tagging emits exactly one run per field, so each run is one index
+/// entry. A `closed` run ends with the field's terminator/delimiter
+/// symbol, which the field range excludes — exactly the semantics of
+/// [`index_inline`]/[`index_vector`]. Record-tagged runs are never closed,
+/// matching [`index_record_tagged`].
 pub fn index_from_runs(runs: &[FieldRun]) -> FieldIndex {
-    let mut rows: Vec<u32> = Vec::with_capacity(runs.len());
-    let mut starts: Vec<u64> = Vec::with_capacity(runs.len());
-    let mut ends: Vec<u64> = Vec::with_capacity(runs.len());
-    for r in runs {
-        let end = r.start + r.len - u64::from(r.closed);
-        if let (Some(&last_row), Some(last_end)) = (rows.last(), ends.last_mut()) {
-            if last_row == r.row && *last_end == r.start {
-                // Continuation of a chunk-split field.
-                *last_end = end;
-                continue;
-            }
-        }
-        rows.push(r.row);
-        starts.push(r.start);
-        ends.push(end);
+    debug_assert!(
+        runs.windows(2).all(|w| w[0].row < w[1].row),
+        "one run per field: rows strictly increase within a column"
+    );
+    FieldIndex {
+        rows: runs.iter().map(|r| r.row).collect(),
+        starts: runs.iter().map(|r| r.start).collect(),
+        ends: runs
+            .iter()
+            .map(|r| r.start + r.len - u64::from(r.closed))
+            .collect(),
     }
-    FieldIndex { rows, starts, ends }
 }
 
 /// Build the index from record tags (record-tagged mode): a run-length
@@ -242,18 +238,22 @@ mod tests {
     }
 
     #[test]
-    fn runs_index_merges_chunk_split_fields() {
-        // A record-tagged column whose second field was split across two
-        // chunks: rows 0, 1, 1 with touching offsets.
-        let runs = [
-            run(2, 0, 0, 8, false),
-            run(2, 1, 8, 10, false),
-            run(2, 1, 18, 12, false),
-        ];
+    fn runs_index_is_one_entry_per_run() {
+        // A record-tagged column: one run per field, rows 0 and 2 (row 1
+        // has no symbols in this column).
+        let runs = [run(2, 0, 0, 8, false), run(2, 2, 8, 22, false)];
         let idx = index_from_runs(&runs);
-        assert_eq!(idx.rows, vec![0, 1]);
+        assert_eq!(idx.rows, vec![0, 2]);
         assert_eq!(idx.field_range(0), 0..8);
         assert_eq!(idx.field_range(1), 8..30);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rows strictly increase")]
+    fn runs_index_rejects_a_split_field() {
+        // Two runs of row 1 would be one field split in two.
+        index_from_runs(&[run(2, 1, 0, 8, false), run(2, 1, 8, 10, false)]);
     }
 
     #[test]

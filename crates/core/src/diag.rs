@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Why a record (or one field of it) was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RejectReason {
     /// The DFA flagged the record as syntactically invalid (e.g. a stray
     /// quote or an unterminated quoted field).
@@ -111,12 +111,21 @@ impl DiagSink {
     }
 
     /// Drain into a deterministic order: sorted by (record, column,
-    /// byte offset) and de-duplicated by that key, so a retried launch
-    /// that re-marks the same records does not duplicate entries.
+    /// byte offset, reason) and de-duplicated, so a retried launch that
+    /// re-marks the same records does not duplicate entries. Two reasons
+    /// at one position (an invalid record delimiter that also ends a
+    /// record with the wrong column count) stay two entries.
     pub fn into_sorted(self) -> Vec<RecordDiagnostic> {
         let mut items = self.items.into_inner().unwrap_or_else(|p| p.into_inner());
-        items.sort_by_key(|d| (d.record, d.column, d.byte_offset));
-        items.dedup_by_key(|d| (d.record, d.column, d.byte_offset));
+        items.sort_by(|a, b| {
+            (a.record, a.column, a.byte_offset, &a.reason).cmp(&(
+                b.record,
+                b.column,
+                b.byte_offset,
+                &b.reason,
+            ))
+        });
+        items.dedup();
         items
     }
 }
@@ -151,8 +160,22 @@ mod tests {
         sink.push(diag(1));
         sink.push(diag(3)); // duplicate from a retried launch
         sink.push(diag(2));
+        // Another reason at record 3's position is not a duplicate.
+        let miscount = RejectReason::ColumnCountMismatch {
+            expected: 2,
+            got: 1,
+        };
+        sink.push(RecordDiagnostic {
+            reason: miscount.clone(),
+            ..diag(3)
+        });
         let out = sink.into_sorted();
-        assert_eq!(out.iter().map(|d| d.record).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(
+            out.iter().map(|d| d.record).collect::<Vec<_>>(),
+            [1, 2, 3, 3]
+        );
+        assert_eq!(out[2].reason, RejectReason::InvalidSyntax);
+        assert_eq!(out[3].reason, miscount);
     }
 
     #[test]

@@ -192,20 +192,26 @@ pub enum FaultMode {
 /// Deterministically fails (or stalls) a fraction of launches for
 /// fault-tolerance testing.
 ///
-/// Each launch *attempt* draws one Bernoulli sample from a seeded
-/// [`SplitMix64`]; a firing injector acts before the job body runs, so
-/// no partial side effects occur and a later retry produces output
-/// byte-identical to a clean run. In [`FaultMode::Panic`] the attempt
-/// fails outright; in [`FaultMode::Stall`] it sleeps inside the launch
-/// window, so with a deadline configured the watchdog sees a hung
-/// kernel. The draw sequence depends only on the seed and the order of
-/// launches, which the pipeline keeps deterministic.
+/// Each launch takes the next ordinal, and whether attempt `a` of launch
+/// `l` faults is a pure function of `(seed, l, a)`: a SplitMix64 draw
+/// keyed on the pair. Faults only ever take a prefix of a launch's
+/// attempts: once an attempt ends without an injected fault (it ran, or
+/// it overran a deadline on its own), no later attempt of that launch is
+/// faulted. So host timing cannot change which attempts are faulted; the
+/// set depends only on the seed and the order of launches, which the
+/// pipeline keeps deterministic. A firing injector acts before the job
+/// body runs, so no partial side effects occur and a later retry produces
+/// output byte-identical to a clean run. In [`FaultMode::Panic`] the
+/// attempt fails outright; in [`FaultMode::Stall`] it sleeps inside the
+/// launch window, so with a deadline configured the watchdog sees a hung
+/// kernel.
 #[derive(Debug)]
 pub struct FaultInjector {
+    seed: u64,
     rate: f64,
     mode: FaultMode,
-    rng: Mutex<SplitMix64>,
-    injected: AtomicU64,
+    launches: AtomicU64,
+    fired: Mutex<Vec<(u64, u32)>>,
 }
 
 impl FaultInjector {
@@ -221,10 +227,11 @@ impl FaultInjector {
 
     fn with_mode(seed: u64, rate: f64, mode: FaultMode) -> Self {
         FaultInjector {
+            seed,
             rate: rate.clamp(0.0, 1.0),
             mode,
-            rng: Mutex::new(SplitMix64::new(seed)),
-            injected: AtomicU64::new(0),
+            launches: AtomicU64::new(0),
+            fired: Mutex::new(Vec::new()),
         }
     }
 
@@ -240,22 +247,39 @@ impl FaultInjector {
 
     /// Total faults injected so far (panics and stalls).
     pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
+        self.lock_fired().len() as u64
     }
 
-    /// Draw the next sample; `true` means "fault this attempt".
-    fn roll(&self) -> bool {
-        // The rng mutex is only held for one draw, but survive poisoning
-        // anyway: the generator state is valid at every point.
-        let fail = self
-            .rng
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .chance(self.rate);
+    /// Every fault injected so far, as sorted `(launch ordinal, attempt)`
+    /// pairs; ordinals count from 0, attempts from 1.
+    pub fn fired(&self) -> Vec<(u64, u32)> {
+        let mut fired = self.lock_fired().clone();
+        fired.sort_unstable();
+        fired
+    }
+
+    /// Ordinal of the next launch.
+    fn next_launch(&self) -> u64 {
+        self.launches.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Decide attempt `attempt` of launch `launch`; `true` means "fault
+    /// this attempt".
+    fn roll(&self, launch: u64, attempt: u32) -> bool {
+        let key =
+            SplitMix64::new(self.seed ^ launch.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64();
+        let fail = SplitMix64::new(key ^ u64::from(attempt)).chance(self.rate);
         if fail {
-            self.injected.fetch_add(1, Ordering::Relaxed);
+            self.lock_fired().push((launch, attempt));
         }
         fail
+    }
+
+    fn lock_fired(&self) -> std::sync::MutexGuard<'_, Vec<(u64, u32)>> {
+        // Survive poisoning: the list is valid at every point.
+        self.fired
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -510,6 +534,7 @@ impl KernelExecutor {
         if let Some(token) = &self.cancel {
             token.note_launch();
         }
+        let launch = self.fault.as_ref().map(FaultInjector::next_launch);
         let start = Instant::now();
         let mut attempts = 0u32;
         let mut injected = 0u32;
@@ -545,8 +570,10 @@ impl KernelExecutor {
                 &self.grid
             };
             let mut stall = None;
-            if let Some(injector) = &self.fault {
-                if injector.roll() {
+            // Only a launch whose every earlier attempt was faulted rolls
+            // again (see `FaultInjector`).
+            if let (Some(injector), Some(launch)) = (&self.fault, launch) {
+                if injected + 1 == attempts && injector.roll(launch, attempts) {
                     injected += 1;
                     match injector.mode() {
                         FaultMode::Panic => {
@@ -1352,14 +1379,22 @@ mod tests {
                     .unwrap(),
                 );
             }
+            // An un-stalled attempt may also overrun the deadline on a
+            // loaded host, so timeouts are at least the stalls.
             let log = exec.drain_log();
+            for r in &log {
+                assert!(
+                    r.timed_out_attempts >= r.injected_faults,
+                    "every stalled attempt times out: {r:?}"
+                );
+            }
             let timeouts: u32 = log.iter().map(|r| r.timed_out_attempts).sum();
-            (outs, timeouts)
+            (outs, exec.fault_injector().unwrap().fired(), timeouts)
         };
-        let (a, ta) = run(1234);
-        let (b, tb) = run(1234);
+        let (a, sa, ta) = run(1234);
+        let (b, sb, _) = run(1234);
         assert_eq!(a, b, "same seed, same outcomes");
-        assert_eq!(ta, tb, "same seed, same timeout positions");
+        assert_eq!(sa, sb, "same seed, same stalled attempts");
         assert!(ta > 0, "a 40% stall injector over 10 launches must fire");
         let want: Vec<u64> = (0..10).map(|i| 512 + i).collect();
         assert_eq!(a, want, "timeouts + retries are invisible in the output");
